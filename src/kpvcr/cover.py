@@ -89,9 +89,9 @@ def partition(
     if not any(v == r for v in comp.all_vertices()):
         raise InputError(f"root {r} not in tree")
     if len(comp.spine) > 1 and (r == comp.spine[0] or r == comp.spine[-1]):
-        # rigidity's feed test roots at a spine endpoint on large subgraphs;
-        # the linear scan below is an exact specialization of the generic
-        # deepest-first greedy for that case
+        # minimum covers are usually rooted at a spine endpoint; the linear
+        # scan below is an exact specialization of the generic deepest-first
+        # greedy for that case
         return _partition_endpoint(comp, k, r)
     adj = _adjacency(comp)
 
@@ -205,56 +205,6 @@ def _partition_endpoint(comp: Caterpillar, k: int, r: VertexId) -> PartitionResu
             chain(spine[lo : hi + 1], *leaves[lo : hi + 1])
         )
     return PartitionResult(tuple(pieces), tuple(reps), len(pieces))
-
-
-def _count_pieces_scan(
-    comp: Caterpillar, k: int, r: VertexId, occ: frozenset[VertexId] | set[VertexId]
-) -> tuple[int, bool]:
-    """(psi, some piece holds >= 2 vertices of occ), without building pieces.
-
-    Runs the same linear scan as _partition_endpoint (r must be a spine
-    endpoint), tallying occ members per piece; the trailing live run counts
-    toward the last piece, matching the absorption rule.  Returns early once
-    a doubled piece is found: a cut has happened by then, so psi >= 1 and the
-    caller only needs the flag (the reported psi is then a lower bound).
-    """
-    spine = comp.spine
-    leaves = comp.leaves
-    ell = len(spine)
-    forward = r == spine[-1]
-    idx = range(ell) if forward else range(ell - 1, -1, -1)
-
-    cuts = 0
-    doubled = False
-    h_prev = 0
-    run_tok = 0
-    last_tok = 0
-    for i in idx:
-        ls = leaves[i]
-        nl = len(ls)
-        if spine[i] in occ:
-            run_tok += 1
-        for x in ls:
-            if x in occ:
-                run_tok += 1
-        if h_prev == 0:
-            best = 1 if nl else 0
-            second = 1 if nl >= 2 else 0
-        else:
-            best = h_prev
-            second = 1 if nl else 0
-        if 1 + best + second >= k:
-            cuts += 1
-            if run_tok >= 2:
-                return cuts, True
-            last_tok = run_tok
-            run_tok = 0
-            h_prev = 0
-        else:
-            h_prev = 1 + best
-    if cuts and h_prev and last_tok + run_tok >= 2:
-        doubled = True
-    return cuts, doubled
 
 
 def minimum_cover_size(forest: CaterpillarForest | Caterpillar, k: int) -> int:

@@ -23,7 +23,8 @@ class InstanceFormatError(InputError):
     """Instance or witness file rejected by the parser.
 
     `code` is a stable machine-readable tag (syntax, unknown-vertex,
-    duplicate-directive, invalid-cover), `line` the 1-based source line.
+    duplicate-directive, invalid-cover, too-large), `line` the 1-based
+    source line.
     """
 
     def __init__(self, message: str, *, code: str, line: int | None = None):

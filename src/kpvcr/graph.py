@@ -174,27 +174,9 @@ def _raw_forest(components: tuple[Caterpillar, ...]) -> CaterpillarForest:
     return f
 
 
-def spine_pos(comp: Caterpillar, v: VertexId) -> int:
-    return _positions(comp)[v]
-
-
 def is_leaf_vertex(comp: Caterpillar, v: VertexId) -> bool:
     """Leaf in the structural sense (attached below a spine vertex)."""
     return comp.spine[_positions(comp)[v]] != v
-
-
-def local_neighbors(comp: Caterpillar, v: VertexId) -> tuple[VertexId, ...]:
-    """Neighbors of one vertex without materializing the whole adjacency."""
-    i = _positions(comp)[v]
-    if comp.spine[i] != v:
-        return (comp.spine[i],)
-    out: list[VertexId] = []
-    if i > 0:
-        out.append(comp.spine[i - 1])
-    if i + 1 < len(comp.spine):
-        out.append(comp.spine[i + 1])
-    out.extend(comp.leaves[i])
-    return tuple(out)
 
 
 @dataclass(frozen=True)

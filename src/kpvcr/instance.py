@@ -10,8 +10,10 @@ Line-oriented grammar, `#` starts a comment, blank lines ignored:
     target s1 s3 l3.2
 
 `leaves` is optional; every other directive appears exactly once.  Both
-covers are validated on load.  Parse failures carry a stable error code
-(syntax, unknown-vertex, duplicate-directive, invalid-cover) and the line.
+covers are validated on load.  An instance may have at most MAX_VERTICES
+vertices (spine plus leaves), checked before any vertex is built.  Parse
+failures carry a stable error code (syntax, unknown-vertex,
+duplicate-directive, invalid-cover, too-large) and the line.
 """
 
 from __future__ import annotations
@@ -23,6 +25,12 @@ from .errors import InstanceFormatError
 from .graph import CaterpillarForest, VertexId
 
 MAGIC = "kpvcr 1"
+
+# Upper bound on spine + leaves.  Parsing builds every vertex, so without it
+# a one-line file such as `spine 1000000000` would allocate until the
+# process dies.  It sits 20 times above the largest instances the tests and
+# benchmarks decide (n ~ 5000).
+MAX_VERTICES = 100_000
 
 
 @dataclass(frozen=True)
@@ -111,6 +119,14 @@ def parse_instance(text: str) -> InstanceFile:
             if c:
                 leaves[p] = c
 
+    n = spine + sum(leaves.values())
+    if n > MAX_VERTICES:
+        where = "spine" if spine > MAX_VERTICES else "leaves"
+        raise _fail(
+            f"instance has {n} vertices, more than the {MAX_VERTICES} supported",
+            "too-large",
+            directives[where][1],
+        )
     forest = CaterpillarForest.from_counts(spine, leaves)
 
     def cover(name: str) -> tuple[VertexId, ...]:

@@ -71,6 +71,15 @@ class TestDecide:
         assert main(["decide", str(p)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sizes", ["spine 1000000000", "spine 5\nleaves 1=1000000000"]
+    )
+    def test_oversized_instance(self, tmp_path, capsys, sizes):
+        p = tmp_path / "huge.kpvcr"
+        p.write_text(f"kpvcr 1\nk 4\n{sizes}\nstart s1\ntarget s1\n")
+        assert main(["decide", str(p)]) == 2
+        assert "more than the" in capsys.readouterr().err
+
 
 class TestWitness:
     def test_witness_then_check(self, yes_file, tmp_path, capsys):

@@ -11,6 +11,7 @@ from kpvcr import (
     render_dot,
     render_witness,
 )
+from kpvcr.instance import MAX_VERTICES
 
 SAMPLE = """\
 kpvcr 1
@@ -83,6 +84,36 @@ class TestParseInstance:
     def test_comments_and_blank_lines_ignored(self):
         text = "# top\n\nkpvcr 1\nk 4  # inline\nspine 3\nstart s2\ntarget s2\n"
         assert parse_instance(text).k == 4
+
+
+class TestSizeCap:
+    """Oversized instances are refused before any vertex is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_building(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the forest was built")
+
+        monkeypatch.setattr("kpvcr.instance.CaterpillarForest.from_counts", refuse)
+
+    def test_huge_spine(self):
+        text = "kpvcr 1\nk 4\nspine 1000000000\nstart s1\ntarget s1\n"
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(text)
+        assert exc.value.code == "too-large" and exc.value.line == 3
+
+    def test_huge_leaf_count(self):
+        text = "kpvcr 1\nk 4\nspine 5\nleaves 1=1000000000\nstart s1\ntarget s1\n"
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(text)
+        assert exc.value.code == "too-large" and exc.value.line == 4
+
+    def test_leaves_add_up(self):
+        cap = MAX_VERTICES
+        text = f"kpvcr 1\nk 4\nspine {cap - 1}\nleaves 1=1 2=1\nstart s1\ntarget s1\n"
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(text)
+        assert exc.value.code == "too-large"
 
 
 class TestWitnessFormat:

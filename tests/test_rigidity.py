@@ -6,10 +6,15 @@ reconfiguration BFS (oracle module), which shares no code with the
 polynomial machinery.
 """
 
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 
 from kpvcr import (
+    Caterpillar,
+    CaterpillarForest,
     InputError,
     TokenSet,
     UnsupportedParameterError,
@@ -20,8 +25,10 @@ from kpvcr import (
     find_h_regions,
     is_rigid,
     oracle_rigid_set,
+    partition,
     rigid_set,
 )
+from kpvcr.rigidity import _check_window, _classify, _CutChain, _h2_witness, _index, _Sub
 
 from conftest import cat, covered_instances, toks, vs
 
@@ -108,6 +115,38 @@ class TestFindHRegions:
                     assert 2 * k - 5 <= r.spine_size <= 2 * k - 1
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_window_test_matches_path_classification(self, seed):
+        """For k >= 4 the window test decides (H.2) from arm lengths; it must
+        agree with building both path classes, on every window around every
+        spine token."""
+        rng = random.Random(seed)
+        for _ in range(40):
+            ell = rng.randint(6, 14)
+            G = cat(ell, {i: rng.randint(1, 3) for i in range(1, ell + 1) if rng.random() < 0.5})
+            k = rng.choice((4, 5, 6))
+            comp = G.components[0]
+            cover = set(partition(comp, k, comp.spine[rng.randrange(ell)]).representatives)
+            cover |= set(rng.sample(sorted(G.vertices), rng.randint(0, 3)))
+            occ = frozenset(cover)
+            sub = _index(G).whole(comp.spine[0])
+            for u in sorted(occ):
+                m, leaf = sub.locate(u)
+                if leaf:
+                    continue
+                for a in range(max(sub.a, m - (2 * k - 2)), m + 1):
+                    for b in range(m, min(sub.b, a + 2 * k - 2) + 1):
+                        free = all(
+                            x not in occ
+                            for i in range(a, b + 1)
+                            if i != m
+                            for x in (sub.comp.spine[i],) + sub.leaves(i)
+                        )
+                        cls = _classify(sub, occ, u, m, k, sub.window(a, b))
+                        want = free and _h2_witness(cls, u, k) is not None
+                        assert _check_window(sub, occ, u, m, k, a, b) == want
+
+
 class TestAnchorSet:
     def test_fig3_single_anchor(self):
         assert anchor_set(FIG3, FIG3_COVER, _v("s1")) == vs("s4")
@@ -185,3 +224,96 @@ class TestRigidSet:
     def test_matches_bfs_oracle(self, inst):
         G, k, cover = inst
         assert rigid_set(G, cover).rigid == oracle_rigid_set(G, cover)
+
+
+class TestCutChain:
+    """The feed test's cut-chain walk against the generic partition.
+
+    Each case takes a random caterpillar with a long spine and random
+    tokens, cuts out a spine run as if its two neighbours were deleted, and
+    deletes some leaf tokens inside it, so run ends fold and leaf bits
+    change.  From every start short of the near spine end, in both
+    directions, the walk must cut exactly the pieces `partition` cuts on the
+    same sub-spine rooted at its far end, and agree on (psi, some piece
+    holds >= 2 tokens), memoised or not.
+    """
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pieces_match_partition(self, seed):
+        rng = random.Random(seed)
+        spine_len = rng.randint(65, 400)
+        k = rng.choice((4, 5, 6))
+        prob = rng.choice((0.2, 0.4, 0.7))
+        counts = {i: rng.randint(1, 3) for i in range(1, spine_len + 1) if rng.random() < prob}
+        G = CaterpillarForest.from_counts(spine_len, counts)
+        occupied = frozenset(v for v in sorted(G.vertices) if rng.random() < 0.3)
+        index = _index(G)
+        comp = index.comps[0]
+        ell = len(comp.spine)
+        # runs ending on a leafless position fold that end in; odd seeds
+        # also put tokens on both run ends
+        bare = [i for i in range(ell) if not comp.leaves[i]]
+        lo = rng.choice([i for i in bare if i < ell // 4] or [0])
+        hi = rng.choice([i for i in bare if i > 3 * ell // 4] or [ell - 1])
+        if seed % 2:
+            occupied |= {comp.spine[lo], comp.spine[hi]}
+        dl = frozenset(
+            x
+            for i in range(lo, hi + 1)
+            for x in comp.leaves[i]
+            if x in occupied and rng.random() < 0.5
+        )
+        sub = _Sub(index, 0, lo, hi, dl)
+        prefix = [0]
+        for s, ls in zip(comp.spine, comp.leaves):
+            prefix.append(prefix[-1] + (s in occupied) + sum(x in occupied for x in ls))
+        tokens = occupied - dl
+
+        def vertices(x, y):
+            return frozenset(
+                v
+                for i in range(min(x, y), max(x, y) + 1)
+                for v in (comp.spine[i],) + sub.leaves(i)
+            )
+
+        # one chain per direction, visited from shuffled starts, so the
+        # memoised answers are reused across starts
+        chains = {step: _CutChain(sub, step, k, prefix) for step in (-1, 1)}
+        starts = [(i, step) for i in range(sub.a, sub.b + 1) for step in (-1, 1)]
+        rng.shuffle(starts)
+        for start, step in starts:
+            chain = chains[step]
+            if start == (sub.b if step < 0 else sub.a):
+                continue  # the feed test starts short of the near spine end
+            got = list(chain.pieces(start))
+            span = sorted((start, chain.end))
+            hv = Caterpillar(
+                tuple(comp.spine[i] for i in range(span[0], span[1] + 1)),
+                tuple(sub.leaves(i) for i in range(span[0], span[1] + 1)),
+            )
+            want = partition(hv, k, comp.spine[chain.end])
+            assert [comp.spine[c] for _, _, c in got] == list(want.representatives)
+            assert [vertices(x, y) for x, y, _ in got] == list(want.pieces)
+            doubled = any(len(piece & tokens) >= 2 for piece in want.pieces)
+            assert (len(got), any(chain.tokens(x, y) >= 2 for x, y, _ in got)) == (
+                want.psi,
+                doubled,
+            )
+            assert chain.tokens(*span) == len(vertices(*span) & tokens)
+            if got:
+                assert chain.doubled_from(start) == doubled
+
+
+class TestDeepChains:
+    def test_full_path_needs_no_recursion_limit(self, monkeypatch):
+        """A fully occupied bare path nests its 4a/lemma-1b chain n deep; the
+        analysis must not lean on the interpreter stack for it."""
+
+        def refuse(limit):
+            raise AssertionError("sys.setrecursionlimit called")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        n = 3000
+        G = CaterpillarForest.from_counts(n, {})
+        cover = TokenSet(frozenset(VertexId("s", i) for i in range(1, n + 1)), 4)
+        assert rigid_set(G, cover).rigid == G.vertices
