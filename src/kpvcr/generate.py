@@ -14,10 +14,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ._kpaths import PathCoverContext
+from ._kpaths import _component_paths
 from .cover import partition
 from .errors import InputError
-from .graph import CaterpillarForest, VertexId
+from .graph import CaterpillarForest, VertexId, _adjacency
 from .instance import InstanceFile
 
 
@@ -50,13 +50,13 @@ def random_instance(config: GenerateConfig) -> InstanceFile:
     forest = CaterpillarForest.from_counts(config.spine, leaf_counts)
 
     base = _minimum_cover(forest, config.k, from_right=False)
-    ctx = PathCoverContext(forest, config.k)
-    start = _walk(ctx, base, rng)
+    slides = _SlideTable(forest, config.k)
+    start = slides.walk(base, rng)
     if config.scramble:
         other = _minimum_cover(forest, config.k, from_right=True)
-        target = _walk(ctx, other, rng)
+        target = slides.walk(other, rng)
     else:
-        target = _walk(ctx, base, rng)
+        target = slides.walk(base, rng)
 
     return InstanceFile(
         k=config.k,
@@ -77,23 +77,53 @@ def _minimum_cover(
     return frozenset(reps)
 
 
-def _walk(
-    ctx: PathCoverContext, cover: frozenset[VertexId], rng: random.Random
-) -> frozenset[VertexId]:
-    """Apply a bounded number of random valid slides to the cover."""
-    occ = ctx.mask_of(cover)
-    tokens = sorted(cover)
-    if not tokens:
-        return cover
-    attempts = 12 * len(tokens) + 24
-    for _ in range(attempts):
-        i = rng.randrange(len(tokens))
-        frm = tokens[i]
-        nbrs = ctx.neighbor_bits[frm]
-        if not nbrs:
-            continue
-        to, tb = nbrs[rng.randrange(len(nbrs))]
-        if ctx.slide_ok(occ, frm, to):
-            occ = (occ & ~ctx.bit[frm]) | tb
-            tokens[i] = to
-    return frozenset(tokens)
+class _SlideTable:
+    """Bitmask tables for random valid slides on the one caterpillar being
+    generated: a bit per vertex, each vertex's neighbours with their bits
+    and the masks of the k-paths through it.  A slide from `frm` can only
+    uncover the k-paths through `frm`, so only those are checked.
+
+    Both tables come from the uncached functions behind the module-level
+    caches (`__wrapped__`).  The forest belongs to this call and is never
+    looked up again, so cache entries for it would only keep its k-paths
+    alive for the rest of the process: a loop drawing seeded instances, such
+    as rejection sampling on their shape, grew by about 0.3 MB per spine-160
+    instance.
+    """
+
+    def __init__(self, forest: CaterpillarForest, k: int):
+        (comp,) = forest.components
+        adj = _adjacency.__wrapped__(comp)
+        self.bit = {v: 1 << i for i, v in enumerate(adj)}
+        self.neighbors = {v: [(u, self.bit[u]) for u in us] for v, us in adj.items()}
+        self.through: dict[VertexId, list[int]] = {v: [] for v in adj}
+        for path in _component_paths.__wrapped__(comp, k):
+            mask = 0
+            for v in path:
+                mask |= self.bit[v]
+            for v in path:
+                self.through[v].append(mask)
+
+    def walk(self, cover: frozenset[VertexId], rng: random.Random) -> frozenset[VertexId]:
+        """Apply a bounded number of random valid slides to the cover."""
+        occ = 0
+        for v in cover:
+            occ |= self.bit[v]
+        tokens = sorted(cover)
+        if not tokens:
+            return cover
+        attempts = 12 * len(tokens) + 24
+        for _ in range(attempts):
+            i = rng.randrange(len(tokens))
+            frm = tokens[i]
+            nbrs = self.neighbors[frm]
+            if not nbrs:
+                continue
+            to, tb = nbrs[rng.randrange(len(nbrs))]
+            if occ & tb:
+                continue
+            new = (occ & ~self.bit[frm]) | tb
+            if all(p & new for p in self.through[frm]):
+                occ = new
+                tokens[i] = to
+        return frozenset(tokens)
