@@ -6,27 +6,19 @@ leaf at either end (or two leaves of the same spine vertex when the interval
 is a single vertex).  The planner and the brute-force oracle both check cover
 validity against these sets; is_kpvc in cover.py deliberately uses a
 different route (deletion + longest path) so the two can cross-check.
+
+Nothing here is cached at module level: a PathCoverContext enumerates the
+paths of its forest once and holds the tables for as long as its owner
+keeps it (the planner's per-component context, one oracle call, one
+generated instance).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .graph import Caterpillar, CaterpillarForest, VertexId
 
 
-@lru_cache(maxsize=None)
-def k_path_vertex_sets(
-    forest: CaterpillarForest, k: int
-) -> tuple[frozenset[VertexId], ...]:
-    out: list[frozenset[VertexId]] = []
-    for comp in forest.components:
-        out.extend(_component_paths(comp, k))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _component_paths(comp: Caterpillar, k: int) -> tuple[frozenset[VertexId], ...]:
+def _component_paths(comp: Caterpillar, k: int) -> list[frozenset[VertexId]]:
     paths: list[frozenset[VertexId]] = []
     spine = comp.spine
     leaves = comp.leaves
@@ -55,7 +47,7 @@ def _component_paths(comp: Caterpillar, k: int) -> tuple[frozenset[VertexId], ..
                     for x in leaves[p]:
                         for y in leaves[q]:
                             paths.append(core | {x, y})
-    return tuple(paths)
+    return paths
 
 
 class PathCoverContext:
@@ -67,21 +59,21 @@ class PathCoverContext:
     """
 
     def __init__(self, forest: CaterpillarForest, k: int):
-        self.forest = forest
         self.k = k
         self.order: list[VertexId] = sorted(forest.vertices)
         self.bit = {v: 1 << i for i, v in enumerate(self.order)}
         self.path_masks: list[int] = []
         self.paths_by_vertex: dict[VertexId, list[int]] = {v: [] for v in self.order}
-        for p in k_path_vertex_sets(forest, k):
-            m = 0
-            for v in p:
-                m |= self.bit[v]
-            self.path_masks.append(m)
-            for v in p:
-                self.paths_by_vertex[v].append(m)
+        for comp in forest.components:
+            for p in _component_paths(comp, k):
+                m = 0
+                for v in p:
+                    m |= self.bit[v]
+                self.path_masks.append(m)
+                for v in p:
+                    self.paths_by_vertex[v].append(m)
         adj = forest.adjacency()
-        self.neighbor_bits = {v: [ (u, self.bit[u]) for u in adj[v] ] for v in self.order}
+        self.neighbor_bits = {v: [(u, self.bit[u]) for u in adj[v]] for v in self.order}
 
     def mask_of(self, vertices) -> int:
         m = 0

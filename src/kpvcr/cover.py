@@ -4,6 +4,13 @@ is_kpvc goes through induced deletion plus a longest-path computation, on
 purpose: the test suite cross-checks it against exhaustive path enumeration,
 so the two routes must stay independent.
 
+is_kpvc memoises its verdicts in a module-level cache keyed by (forest,
+tokens, k), because validate_sequence meets the same covers again across
+the witnesses of one forest.  That cache keeps every forest it has seen
+alive for the life of the process.  The structural tables that partition
+and is_kpvc read (adjacency, positions) live on the graph objects
+themselves and die with them (see graph).
+
 partition implements the greedy decomposition into properly rooted subtrees:
 repeatedly take the deepest vertex v (ties by smallest id) whose subtree
 still contains a k-vertex path, cut the subtree off as a piece with
@@ -19,7 +26,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import InputError
-from .graph import Caterpillar, CaterpillarForest, VertexId, _adjacency
+from .graph import Caterpillar, CaterpillarForest, VertexId
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,7 @@ def partition(
         # scan below is an exact specialization of the generic deepest-first
         # greedy for that case
         return _partition_endpoint(comp, k, r)
-    adj = _adjacency(comp)
+    adj = comp._adjacency
 
     # integer-indexed BFS tree; vertex ids only reappear in the results
     verts: list[VertexId] = [r]

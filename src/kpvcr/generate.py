@@ -7,6 +7,9 @@ default both walks leave the same base cover, so the instance is always a
 YES instance.  With scramble the target walk instead starts from the
 partition rooted at the opposite spine end, which is still a minimum cover
 of the same size but need not be reachable from the start.
+
+Instances are capped at instance.MAX_VERTICES vertices, the most
+parse_instance accepts; a larger request fails before the forest is built.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ._kpaths import _component_paths
+from ._kpaths import PathCoverContext
 from .cover import partition
 from .errors import InputError
-from .graph import CaterpillarForest, VertexId, _adjacency
-from .instance import InstanceFile
+from .graph import CaterpillarForest, VertexId
+from .instance import MAX_VERTICES, InstanceFile
 
 
 @dataclass(frozen=True)
@@ -32,6 +35,8 @@ class GenerateConfig:
     def __post_init__(self) -> None:
         if self.spine < 2:
             raise InputError("spine length must be >= 2")
+        if self.spine > MAX_VERTICES:
+            raise _too_large(self.spine)
         if not (0.0 <= self.leaf_prob <= 1.0):
             raise InputError("leaf probability must be in [0, 1]")
         if self.k < 3:
@@ -47,16 +52,19 @@ def random_instance(config: GenerateConfig) -> InstanceFile:
             count += 1
         if count:
             leaf_counts[i] = count
+    n = config.spine + sum(leaf_counts.values())
+    if n > MAX_VERTICES:
+        raise _too_large(n)
     forest = CaterpillarForest.from_counts(config.spine, leaf_counts)
 
     base = _minimum_cover(forest, config.k, from_right=False)
-    slides = _SlideTable(forest, config.k)
-    start = slides.walk(base, rng)
+    slides = PathCoverContext(forest, config.k)
+    start = _walk(slides, base, rng)
     if config.scramble:
         other = _minimum_cover(forest, config.k, from_right=True)
-        target = slides.walk(other, rng)
+        target = _walk(slides, other, rng)
     else:
-        target = slides.walk(base, rng)
+        target = _walk(slides, base, rng)
 
     return InstanceFile(
         k=config.k,
@@ -77,53 +85,27 @@ def _minimum_cover(
     return frozenset(reps)
 
 
-class _SlideTable:
-    """Bitmask tables for random valid slides on the one caterpillar being
-    generated: a bit per vertex, each vertex's neighbours with their bits
-    and the masks of the k-paths through it.  A slide from `frm` can only
-    uncover the k-paths through `frm`, so only those are checked.
+def _walk(
+    slides: PathCoverContext, cover: frozenset[VertexId], rng: random.Random
+) -> frozenset[VertexId]:
+    """Apply a bounded number of random valid slides to the cover."""
+    occ = slides.mask_of(cover)
+    tokens = sorted(cover)
+    if not tokens:
+        return cover
+    attempts = 12 * len(tokens) + 24
+    for _ in range(attempts):
+        i = rng.randrange(len(tokens))
+        frm = tokens[i]
+        nbrs = slides.neighbor_bits[frm]
+        if not nbrs:
+            continue
+        to, tb = nbrs[rng.randrange(len(nbrs))]
+        if slides.slide_ok(occ, frm, to):
+            occ = (occ & ~slides.bit[frm]) | tb
+            tokens[i] = to
+    return frozenset(tokens)
 
-    Both tables come from the uncached functions behind the module-level
-    caches (`__wrapped__`).  The forest belongs to this call and is never
-    looked up again, so cache entries for it would only keep its k-paths
-    alive for the rest of the process: a loop drawing seeded instances, such
-    as rejection sampling on their shape, grew by about 0.3 MB per spine-160
-    instance.
-    """
 
-    def __init__(self, forest: CaterpillarForest, k: int):
-        (comp,) = forest.components
-        adj = _adjacency.__wrapped__(comp)
-        self.bit = {v: 1 << i for i, v in enumerate(adj)}
-        self.neighbors = {v: [(u, self.bit[u]) for u in us] for v, us in adj.items()}
-        self.through: dict[VertexId, list[int]] = {v: [] for v in adj}
-        for path in _component_paths.__wrapped__(comp, k):
-            mask = 0
-            for v in path:
-                mask |= self.bit[v]
-            for v in path:
-                self.through[v].append(mask)
-
-    def walk(self, cover: frozenset[VertexId], rng: random.Random) -> frozenset[VertexId]:
-        """Apply a bounded number of random valid slides to the cover."""
-        occ = 0
-        for v in cover:
-            occ |= self.bit[v]
-        tokens = sorted(cover)
-        if not tokens:
-            return cover
-        attempts = 12 * len(tokens) + 24
-        for _ in range(attempts):
-            i = rng.randrange(len(tokens))
-            frm = tokens[i]
-            nbrs = self.neighbors[frm]
-            if not nbrs:
-                continue
-            to, tb = nbrs[rng.randrange(len(nbrs))]
-            if occ & tb:
-                continue
-            new = (occ & ~self.bit[frm]) | tb
-            if all(p & new for p in self.through[frm]):
-                occ = new
-                tokens[i] = to
-        return frozenset(tokens)
+def _too_large(n: int) -> InputError:
+    return InputError(f"instance has {n} vertices, more than the {MAX_VERTICES} supported")

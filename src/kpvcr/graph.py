@@ -10,14 +10,18 @@ subgraphs.
 Deletion has induced-subgraph semantics: surviving vertices keep exactly the
 edges they had before, so deleting a spine vertex orphans its remaining
 leaves into singleton components and splits the spine into runs.
+
+Derived structure (positions, adjacency, canonical form, vertex sets, the
+vertex -> component memo) is computed on first use and stored on the frozen
+object it describes, as a `cached_property`, so it lives exactly as long as
+that object.  This module keeps no module-level cache.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache, total_ordering
+from functools import cached_property, total_ordering
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
@@ -112,12 +116,10 @@ class Caterpillar:
             seen.add(v)
 
     def __hash__(self) -> int:
-        # memoized: components are large and live as lru_cache keys
-        got = self.__dict__.get("_hash")
-        if got is None:
-            got = hash((self.spine, self.leaves))
-            object.__setattr__(self, "_hash", got)
-        return got
+        # The hash and the derived tables below are cached_property values:
+        # computed on first use into this component's own __dict__, which
+        # the field-based eq and repr never read, and gone with it.
+        return self._hash
 
     def all_vertices(self) -> Iterator[VertexId]:
         for s, ls in zip(self.spine, self.leaves):
@@ -128,33 +130,63 @@ class Caterpillar:
     def n(self) -> int:
         return len(self.spine) + sum(len(ls) for ls in self.leaves)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.spine, self.leaves))
 
-# Per-component derived structure, cached on the frozen value.
+    @cached_property
+    def _positions(self) -> dict[VertexId, int]:
+        """Spine position (0-based) of every vertex; leaves map to their spine's."""
+        pos: dict[VertexId, int] = {}
+        for i, (s, ls) in enumerate(zip(self.spine, self.leaves)):
+            pos[s] = i
+            for v in ls:
+                pos[v] = i
+        return pos
 
+    @cached_property
+    def _adjacency(self) -> dict[VertexId, tuple[VertexId, ...]]:
+        spine = self.spine
+        adj: dict[VertexId, list[VertexId]] = {v: [] for v in self.all_vertices()}
+        for i, (s, ls) in enumerate(zip(spine, self.leaves)):
+            if i > 0:
+                adj[s].append(spine[i - 1])
+            if i + 1 < len(spine):
+                adj[s].append(spine[i + 1])
+            for v in ls:
+                adj[s].append(v)
+                adj[v].append(s)
+        return {v: tuple(ns) for v, ns in adj.items()}
 
-@lru_cache(maxsize=None)
-def _positions(comp: Caterpillar) -> dict[VertexId, int]:
-    """Spine position (0-based) of every vertex; leaves map to their spine's."""
-    pos: dict[VertexId, int] = {}
-    for i, (s, ls) in enumerate(zip(comp.spine, comp.leaves)):
-        pos[s] = i
-        for v in ls:
-            pos[v] = i
-    return pos
+    @cached_property
+    def _min_vertex(self) -> VertexId:
+        return min(self.all_vertices(), key=attrgetter("_sort_key"))
 
+    @cached_property
+    def _canonical(self) -> "Caterpillar":
+        """Leaf tuples sorted, and a leafless spine endpoint reclassified as
+        a leaf of its neighbour.  The neighbour's leaf tuple is then
+        non-empty, so at most one endpoint folds in per side.  A component
+        already in normal form is its own canonical form."""
+        spine = self.spine
+        leaves = tuple(tuple(sorted(ls)) for ls in self.leaves)
+        if len(spine) >= 2 and not leaves[0]:
+            leaves = (tuple(sorted(leaves[1] + spine[:1])),) + leaves[2:]
+            spine = spine[1:]
+        if len(spine) >= 2 and not leaves[-1]:
+            leaves = leaves[:-2] + (tuple(sorted(leaves[-2] + spine[-1:])),)
+            spine = spine[:-1]
+        if spine is self.spine and leaves == self.leaves:
+            return self
+        return _raw_component(spine, leaves)
 
-@lru_cache(maxsize=None)
-def _adjacency(comp: Caterpillar) -> dict[VertexId, tuple[VertexId, ...]]:
-    adj: dict[VertexId, list[VertexId]] = {v: [] for v in comp.all_vertices()}
-    for i, (s, ls) in enumerate(zip(comp.spine, comp.leaves)):
-        if i > 0:
-            adj[s].append(comp.spine[i - 1])
-        if i + 1 < len(comp.spine):
-            adj[s].append(comp.spine[i + 1])
-        for v in ls:
-            adj[s].append(v)
-            adj[v].append(s)
-    return {v: tuple(ns) for v, ns in adj.items()}
+    def longest_path_vertices(self) -> int:
+        """Vertex count of a longest simple path.  Every vertex off the
+        spine is a leaf, so a longest path runs the whole spine plus one
+        leaf at each spine end that has one; a one-vertex spine is a star."""
+        if len(self.spine) == 1:
+            return 1 + min(2, len(self.leaves[0]))
+        return len(self.spine) + bool(self.leaves[0]) + bool(self.leaves[-1])
 
 
 def _raw_component(
@@ -176,7 +208,7 @@ def _raw_forest(components: tuple[Caterpillar, ...]) -> CaterpillarForest:
 
 def is_leaf_vertex(comp: Caterpillar, v: VertexId) -> bool:
     """Leaf in the structural sense (attached below a spine vertex)."""
-    return comp.spine[_positions(comp)[v]] != v
+    return comp.spine[comp._positions[v]] != v
 
 
 @dataclass(frozen=True)
@@ -194,11 +226,11 @@ class CaterpillarForest:
                 seen.add(v)
 
     def __hash__(self) -> int:
-        got = self.__dict__.get("_hash")
-        if got is None:
-            got = hash(self.components)
-            object.__setattr__(self, "_hash", got)
-        return got
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.components)
 
     # -- constructors ------------------------------------------------------
 
@@ -229,9 +261,9 @@ class CaterpillarForest:
 
     # -- basic queries -----------------------------------------------------
 
-    @property
+    @cached_property
     def vertices(self) -> frozenset[VertexId]:
-        return _forest_vertices(self)
+        return frozenset(v for c in self.components for v in c.all_vertices())
 
     @property
     def n(self) -> int:
@@ -246,30 +278,31 @@ class CaterpillarForest:
             raise InputError(f"unknown vertex {v}")
         return comp
 
+    @cached_property
+    def _vcomp(self) -> dict[VertexId, Caterpillar]:
+        """Vertex -> component, filled in by _find_component."""
+        return {}
+
     def _find_component(self, v: VertexId) -> Caterpillar | None:
-        """Per-instance memoized lookup; scans component position tables so
-        the cost stays proportional to the component count, not n."""
-        memo = self.__dict__.get("_vcomp")
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_vcomp", memo)
+        """Memoized lookup; scans component position tables so the cost
+        stays proportional to the component count, not n."""
+        memo = self._vcomp
         comp = memo.get(v)
         if comp is None:
             for c in self.components:
-                if v in _positions(c):
+                if v in c._positions:
                     memo[v] = c
                     return c
-            return None
         return comp
 
     def adjacency(self) -> dict[VertexId, tuple[VertexId, ...]]:
         out: dict[VertexId, tuple[VertexId, ...]] = {}
         for c in self.components:
-            out.update(_adjacency(c))
+            out.update(c._adjacency)
         return out
 
     def neighbors(self, v: VertexId) -> tuple[VertexId, ...]:
-        return _adjacency(self.component_of(v))[v]
+        return self.component_of(v)._adjacency[v]
 
     # -- metric ------------------------------------------------------------
 
@@ -281,7 +314,7 @@ class CaterpillarForest:
             return None
         if u == v:
             return 0
-        pos = _positions(cu)
+        pos = cu._positions
         d = abs(pos[u] - pos[v])
         if is_leaf_vertex(cu, u):
             d += 1
@@ -297,7 +330,7 @@ class CaterpillarForest:
             raise PathError(f"{u} and {v} lie in different components")
         if u == v:
             return (u,)
-        pos = _positions(cu)
+        pos = cu._positions
         pu, pv = pos[u], pos[v]
         step = 1 if pv >= pu else -1
         path: list[VertexId] = []
@@ -309,19 +342,9 @@ class CaterpillarForest:
         return tuple(path)
 
     def longest_path_vertices(self) -> int:
-        """Vertex count of a longest simple path over all components.
-
-        Double BFS per component: BFS from any vertex to a farthest vertex a,
-        then BFS from a; eccentricity of a is the diameter on a tree.
-        """
-        best = 0
-        for comp in self.components:
-            adj = _adjacency(comp)
-            start = comp.spine[0]
-            a, _ = _bfs_farthest(adj, start)
-            _, ecc = _bfs_farthest(adj, a)
-            best = max(best, ecc + 1)
-        return best
+        """Vertex count of a longest simple path over all components (0 on
+        the empty forest)."""
+        return max((c.longest_path_vertices() for c in self.components), default=0)
 
     # -- surgery -----------------------------------------------------------
 
@@ -349,44 +372,18 @@ class CaterpillarForest:
         return _raw_forest(tuple(out))
 
     def canonical(self) -> "CaterpillarForest":
-        """Normal form: a spine endpoint with no leaves is reclassified as a
-        leaf of its neighbour; components are sorted by smallest vertex."""
-        comps = [_canonical_component(c) for c in self.components]
-        comps.sort(key=_min_vertex)
+        """Normal form: every component in its canonical form (see
+        Caterpillar._canonical), sorted by smallest vertex."""
+        comps = sorted(
+            (c._canonical for c in self.components), key=attrgetter("_min_vertex")
+        )
         return _raw_forest(tuple(comps))
-
-
-@lru_cache(maxsize=None)
-def _forest_vertices(forest: CaterpillarForest) -> frozenset[VertexId]:
-    return frozenset(v for c in forest.components for v in c.all_vertices())
-
-
-@lru_cache(maxsize=None)
-def _min_vertex(comp: Caterpillar) -> VertexId:
-    return min(comp.all_vertices(), key=attrgetter("_sort_key"))
-
-
-def _bfs_farthest(
-    adj: Mapping[VertexId, tuple[VertexId, ...]], start: VertexId
-) -> tuple[VertexId, int]:
-    seen = {start: 0}
-    q = deque([start])
-    far, ecc = start, 0
-    while q:
-        v = q.popleft()
-        for u in adj[v]:
-            if u not in seen:
-                seen[u] = seen[v] + 1
-                if seen[u] > ecc:
-                    far, ecc = u, seen[u]
-                q.append(u)
-    return far, ecc
 
 
 def _delete_in_component(comp: Caterpillar, drop: frozenset[VertexId]) -> list[Caterpillar]:
     if not drop:
         return [comp]
-    pos = _positions(comp)
+    pos = comp._positions
     spine_cuts: list[int] = []
     leaf_posns: set[int] = set()
     for v in drop:
@@ -413,37 +410,3 @@ def _delete_in_component(comp: Caterpillar, drop: frozenset[VertexId]) -> list[C
     if prev < len(comp.spine):
         out.append(_raw_component(comp.spine[prev:], tuple(leaves[prev:])))
     return out
-
-
-@lru_cache(maxsize=None)
-def _canonical_component(comp: Caterpillar) -> Caterpillar:
-    # a reclassified endpoint lands in the neighbour's leaf tuple, which then
-    # is non-empty, so at most one endpoint folds in per side
-    if all(
-        ls[j]._sort_key <= ls[j + 1]._sort_key
-        for ls in comp.leaves
-        for j in range(len(ls) - 1)
-    ):
-        spine = comp.spine
-        leaves = comp.leaves
-        if len(spine) >= 2 and not leaves[0]:
-            spine = spine[1:]
-            leaves = (tuple(sorted(leaves[1] + (comp.spine[0],))),) + leaves[2:]
-        if len(spine) >= 2 and not leaves[-1]:
-            v = spine[-1]
-            spine = spine[:-1]
-            leaves = leaves[:-2] + (tuple(sorted(leaves[-2] + (v,))),)
-        if spine is comp.spine:
-            return comp
-        return _raw_component(spine, leaves)
-    spine_l = list(comp.spine)
-    leaves_l = [sorted(ls) for ls in comp.leaves]
-    while len(spine_l) >= 2 and not leaves_l[0]:
-        v = spine_l.pop(0)
-        leaves_l.pop(0)
-        leaves_l[0] = sorted(leaves_l[0] + [v])
-    while len(spine_l) >= 2 and not leaves_l[-1]:
-        v = spine_l.pop()
-        leaves_l.pop()
-        leaves_l[-1] = sorted(leaves_l[-1] + [v])
-    return _raw_component(tuple(spine_l), tuple(tuple(ls) for ls in leaves_l))

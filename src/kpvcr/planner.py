@@ -27,7 +27,7 @@ from typing import Iterator
 from ._kpaths import PathCoverContext
 from .cover import TokenSet, is_kpvc
 from .errors import InputError, LogicError, UnsupportedParameterError
-from .graph import Caterpillar, CaterpillarForest, VertexId, _adjacency
+from .graph import Caterpillar, CaterpillarForest, VertexId
 from .rigidity import rigid_set
 
 Move = tuple[VertexId, VertexId]
@@ -552,7 +552,7 @@ def _route_unconstrained(
     valid cover, so tokens walk freely.  Peel tree leaves one at a time,
     filling targets from the nearest token and pushing stray tokens inward."""
     order = vertex_order(comp)
-    adj = {v: set(ns) for v, ns in _adjacency(comp).items()}
+    adj = {v: set(ns) for v, ns in comp._adjacency.items()}
     remaining = set(adj)
     occ = set(ic)
     targets = set(jc)

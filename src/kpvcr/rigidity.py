@@ -40,7 +40,7 @@ from typing import Generator, Iterator
 # kpvcr.rigidity.partition by name
 from .cover import TokenSet, partition  # noqa: F401
 from .errors import InputError, LogicError, UnsupportedParameterError
-from .graph import CaterpillarForest, VertexId, _canonical_component
+from .graph import CaterpillarForest, VertexId
 
 KPath = tuple[VertexId, ...]
 
@@ -146,7 +146,7 @@ class _Index:
         self.comps: list[_Component] = []
         self.where: dict[VertexId, tuple[int, int, bool]] = {}
         for ci, raw in enumerate(forest.components):
-            comp = _canonical_component(raw)
+            comp = raw._canonical
             self.comps.append(_Component(comp.spine, comp.leaves))
             for i, (s, ls) in enumerate(zip(comp.spine, comp.leaves)):
                 self.where[s] = (ci, i, True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import weakref
 
 from hypothesis import strategies as st
 
@@ -20,6 +21,11 @@ def toks(k: int, *ids: str) -> TokenSet:
 
 def vs(*ids: str) -> frozenset[VertexId]:
     return frozenset(VertexId.parse(x) for x in ids)
+
+
+def weakrefs(forest: CaterpillarForest) -> list[weakref.ref]:
+    """Weak references to a forest and to each of its components."""
+    return [weakref.ref(x) for x in (forest, *forest.components)]
 
 
 @st.composite

@@ -2,8 +2,9 @@
 
 import pytest
 
-from kpvcr import parse_instance, parse_witness
+from kpvcr import CaterpillarForest, parse_instance, parse_witness
 from kpvcr.cli import main
+from kpvcr.instance import MAX_VERTICES
 
 YES_INSTANCE = """\
 kpvcr 1
@@ -164,6 +165,22 @@ class TestGen:
             main(["gen", "--spine", "1", "--leaf-prob", "0.5", "--k", "4", "--seed", "1"])
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "spine, leaf_prob",
+        [(MAX_VERTICES + 1, "0.0"), (MAX_VERTICES, "1.0")],
+        ids=["spine", "spine+leaves"],
+    )
+    def test_refuses_oversized(self, monkeypatch, capsys, spine, leaf_prob):
+        # the cap applies before the forest is built: the spine alone before
+        # any draw, the spine plus the drawn leaves right after the draw
+        def no_forest(*args):
+            raise AssertionError("forest built for an oversized instance")
+
+        monkeypatch.setattr(CaterpillarForest, "from_counts", no_forest)
+        argv = ["gen", "--spine", str(spine), "--leaf-prob", leaf_prob, "--k", "4", "--seed", "1"]
+        assert main(argv) == 2
+        assert "more than the" in capsys.readouterr().err
 
 
 class TestExportDot:

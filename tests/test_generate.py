@@ -1,12 +1,17 @@
 """Seeded instance generation (kpvcr.generate)."""
 
+import gc
 import random
 
-from kpvcr import GenerateConfig, is_kpvc, minimum_cover_size, random_instance
-from kpvcr._kpaths import _component_paths, k_path_vertex_sets
-from kpvcr.graph import _adjacency, _forest_vertices
+from kpvcr import (
+    CaterpillarForest,
+    GenerateConfig,
+    is_kpvc,
+    minimum_cover_size,
+    random_instance,
+)
 
-MODULE_CACHES = (k_path_vertex_sets, _component_paths, _adjacency, _forest_vertices)
+from conftest import weakrefs
 
 # `kpvcr gen --spine 14 --leaf-prob 0.4 --k 4 --seed 1`, where the start and
 # target walks both move tokens off the base cover
@@ -43,10 +48,20 @@ def test_walks_stay_minimum_covers():
             assert is_kpvc(forest, tokens)
 
 
-def test_leaves_module_caches_alone():
-    # each generated forest is new to the process; an entry for it in an
-    # unbounded module-level cache would be memory held until exit
-    before = [f.cache_info().currsize for f in MODULE_CACHES]
+def test_generated_forests_die(monkeypatch):
+    # each generated forest is new to the process; anything still holding it
+    # after random_instance returns would be memory held until exit
+    refs = []
+    from_counts = CaterpillarForest.from_counts
+
+    def recording(*args):
+        forest = from_counts(*args)
+        refs.extend(weakrefs(forest))
+        return forest
+
+    monkeypatch.setattr(CaterpillarForest, "from_counts", recording)
     for seed in range(5):
         random_instance(GenerateConfig(spine=61, leaf_prob=0.4, k=5, seed=seed, scramble=True))
-    assert [f.cache_info().currsize for f in MODULE_CACHES] == before
+    gc.collect()
+    assert len(refs) == 10
+    assert [r() for r in refs] == [None] * len(refs)

@@ -5,13 +5,25 @@ the explicit adjacency list (breadth-first search, exhaustive simple-path
 enumeration), never from the functions under test.
 """
 
+import gc
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kpvcr import CaterpillarForest, InputError, PathError, VertexId
+from kpvcr import (
+    Caterpillar,
+    CaterpillarForest,
+    InputError,
+    PathError,
+    TokenSet,
+    VertexId,
+    partition,
+    rigid_set,
+)
+from kpvcr._kpaths import PathCoverContext
 
-from conftest import cat, caterpillars, vs
+from conftest import cat, caterpillars, vs, weakrefs
 
 
 def _adj_oracle(G: CaterpillarForest) -> dict[VertexId, set[VertexId]]:
@@ -42,6 +54,15 @@ def _longest_path_oracle(adj) -> int:
     for v in adj:
         grow([v], {v})
     return best
+
+
+@st.composite
+def after_deletions(draw):
+    """A caterpillar with a random vertex set deleted: orphaned leaves,
+    one-vertex spines and several components, as is_kpvc meets them."""
+    G = draw(caterpillars(max_spine=5, max_leaves=3))
+    drop = draw(st.sets(st.sampled_from(sorted(G.vertices))))
+    return G.delete(drop)
 
 
 DIST_GRAPH = cat(5, {1: 2, 3: 3, 5: 2})
@@ -119,8 +140,14 @@ class TestLongestPath:
     def test_empty_forest(self):
         assert cat(2).delete(vs("s1", "s2")).longest_path_vertices() == 0
 
-    @given(caterpillars(max_spine=5))
-    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(caterpillars(max_spine=5), after_deletions()))
+    @settings(deadline=None, max_examples=120)
+    @example(cat(3, {2: 2}).delete(vs("s2")))  # orphaned leaves only
+    @example(cat(3).delete(vs("s1", "s3")))  # one-vertex spines, 0-3 leaves
+    @example(cat(3, {2: 1}).delete(vs("s1", "s3")))
+    @example(cat(3, {2: 2}).delete(vs("s1", "s3")))
+    @example(cat(3, {2: 3}).delete(vs("s1", "s3")))
+    @example(cat(6, {1: 1, 3: 3, 6: 2}).delete(vs("s4", "l6.1")))  # several components
     def test_matches_enumeration_oracle(self, G):
         assert G.longest_path_vertices() == _longest_path_oracle(_adj_oracle(G))
 
@@ -169,11 +196,43 @@ class TestCanonical:
         G = cat(3, {1: 1, 3: 1})
         comp = G.canonical().components[0]
         assert [str(s) for s in comp.spine] == ["s1", "s2", "s3"]
+        # leaf tuples out of order: only their order changes
+        G = cat(3, {1: 1, 2: 3, 3: 1})
+        comp = G.components[0]
+        unsorted = Caterpillar(comp.spine, tuple(ls[::-1] for ls in comp.leaves))
+        assert unsorted != comp
+        assert CaterpillarForest.single(unsorted).canonical() == G
 
     @given(caterpillars(max_spine=6))
     @settings(deadline=None, max_examples=60)
     def test_preserves_adjacency(self, G):
         assert _adj_oracle(G.canonical()) == _adj_oracle(G)
+
+
+class TestRetention:
+    @staticmethod
+    def _use_every_table() -> list:
+        G = cat(7, {3: 2, 5: 1})
+        u, v = VertexId.parse("l3.1"), VertexId.parse("s7")
+        assert G.has_vertex(u) and G.dist(u, v) == 5
+        assert v in G.neighbors(VertexId.parse("s6"))
+        assert G.longest_path_vertices() == 7
+        cover = TokenSet(frozenset(partition(G, 4, VertexId.parse("s1")).representatives), 4)
+        assert G.delete(cover.occupied).longest_path_vertices() < 4
+        assert partition(G, 4, VertexId.parse("s4")).psi == len(cover)
+        canon = G.canonical()
+        assert canon != G and canon.vertices == G.vertices
+        paths = PathCoverContext(G, 4)
+        assert paths.is_cover(paths.mask_of(cover.occupied))
+        rigid_set(G, cover)
+        return weakrefs(G) + weakrefs(canon)
+
+    def test_tables_die_with_forest(self):
+        # every structural table lives on the object it describes, so
+        # nothing keeps a forest or its components once the caller lets go
+        refs = self._use_every_table()
+        gc.collect()
+        assert [r() for r in refs] == [None] * len(refs)
 
 
 class TestVertexId:
