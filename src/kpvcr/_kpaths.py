@@ -1,10 +1,12 @@
 """Exhaustive k-path bookkeeping used by the fast validity checks.
 
-Enumerates every k-vertex simple path of a caterpillar forest directly from
-the spine structure: a path is a spine interval, optionally extended by one
-leaf at either end (or two leaves of the same spine vertex when the interval
-is a single vertex).  The planner and the brute-force oracle both check cover
-validity against these sets; is_kpvc in cover.py deliberately uses a
+`_component_paths` is the project's one k-path enumerator.  It lists every
+k-vertex simple path of a caterpillar directly from the spine structure: a
+path is a spine interval, optionally extended by one leaf at either end (or
+two leaves of the same spine vertex when the interval is a single vertex).
+The planner and the brute-force oracle check cover validity against these
+paths through `PathCoverContext`, and `rigidity` classifies them into the
+path classes behind H-regions.  is_kpvc in cover.py deliberately uses a
 different route (deletion + longest path) so the two can cross-check.
 
 Nothing here is cached at module level: a PathCoverContext enumerates the
@@ -15,38 +17,32 @@ generated instance).
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .graph import Caterpillar, CaterpillarForest, VertexId
 
 
-def _component_paths(comp: Caterpillar, k: int) -> list[frozenset[VertexId]]:
-    paths: list[frozenset[VertexId]] = []
+def _component_paths(comp: Caterpillar, k: int) -> list[tuple[VertexId, ...]]:
+    """Every k-vertex simple path of one component, once each, in path
+    order: an optional leaf, a spine run, an optional leaf."""
+    paths: list[tuple[VertexId, ...]] = []
     spine = comp.spine
     leaves = comp.leaves
     ell = len(spine)
     for p in range(ell):
         for q in range(p, min(ell, p + k)):
-            base = q - p + 1
-            extra = k - base
+            core = spine[p : q + 1]
+            extra = k - len(core)
             if extra == 0:
-                paths.append(frozenset(spine[p : q + 1]))
+                paths.append(core)
             elif extra == 1:
-                core = frozenset(spine[p : q + 1])
-                for x in leaves[p]:
-                    paths.append(core | {x})
+                paths.extend((x,) + core for x in leaves[p])
                 if q != p:
-                    for y in leaves[q]:
-                        paths.append(core | {y})
+                    paths.extend(core + (y,) for y in leaves[q])
+            elif extra == 2 and q == p:
+                paths.extend((x,) + core + (y,) for x, y in combinations(leaves[p], 2))
             elif extra == 2:
-                core = frozenset(spine[p : q + 1])
-                if q == p:
-                    ls = leaves[p]
-                    for a in range(len(ls)):
-                        for b in range(a + 1, len(ls)):
-                            paths.append(core | {ls[a], ls[b]})
-                else:
-                    for x in leaves[p]:
-                        for y in leaves[q]:
-                            paths.append(core | {x, y})
+                paths.extend((x,) + core + (y,) for x in leaves[p] for y in leaves[q])
     return paths
 
 
@@ -66,9 +62,7 @@ class PathCoverContext:
         self.paths_by_vertex: dict[VertexId, list[int]] = {v: [] for v in self.order}
         for comp in forest.components:
             for p in _component_paths(comp, k):
-                m = 0
-                for v in p:
-                    m |= self.bit[v]
+                m = self.mask_of(p)
                 self.path_masks.append(m)
                 for v in p:
                     self.paths_by_vertex[v].append(m)
@@ -82,10 +76,12 @@ class PathCoverContext:
         return m
 
     def vertices_of(self, mask: int) -> frozenset[VertexId]:
+        order = self.order
         out = []
-        for v in self.order:
-            if mask & self.bit[v]:
-                out.append(v)
+        while mask:
+            low = mask & -mask
+            out.append(order[low.bit_length() - 1])
+            mask ^= low
         return frozenset(out)
 
     def is_cover(self, mask: int) -> bool:

@@ -16,13 +16,17 @@ repeatedly take the deepest vertex v (ties by smallest id) whose subtree
 still contains a k-vertex path, cut the subtree off as a piece with
 representative v.  Walking up from a single deepest vertex is not enough on
 general trees (the first k-path can straddle two branches of an ancestor),
-hence the local two-branch height test at every vertex.
+hence the local two-branch height test at every vertex (`_partition_greedy`,
+kept for every root and as the reference).  Rooted at a spine end the greedy
+is a chain of `_first_cut` steps along the spine, the one copy of that step:
+the rigidity engine's cut tables and cut chains call it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable
 
 from .errors import InputError
@@ -95,11 +99,16 @@ def partition(
     comp = _as_single_component(tree)
     if not any(v == r for v in comp.all_vertices()):
         raise InputError(f"root {r} not in tree")
-    if len(comp.spine) > 1 and (r == comp.spine[0] or r == comp.spine[-1]):
-        # minimum covers are usually rooted at a spine endpoint; the linear
-        # scan below is an exact specialization of the generic deepest-first
-        # greedy for that case
+    if r == comp.spine[0] or r == comp.spine[-1]:
+        # minimum covers are usually rooted at a spine endpoint, where the
+        # cut loop is an exact specialization of the generic greedy
         return _partition_endpoint(comp, k, r)
+    return _partition_greedy(comp, k, r)
+
+
+def _partition_greedy(comp: Caterpillar, k: int, r: VertexId) -> PartitionResult:
+    """The generic deepest-first greedy, for any root; the reference the
+    endpoint specialization is tested against."""
     adj = comp._adjacency
 
     # integer-indexed BFS tree; vertex ids only reappear in the results
@@ -165,6 +174,28 @@ def partition(
     return PartitionResult(tuple(pieces), tuple(reps), len(pieces))
 
 
+def _first_cut(leaves, i: int, step: int, k: int, end: int) -> int | None:
+    """One step of the endpoint greedy: started fresh at spine position i
+    and scanning by step toward end, the first j where the run i..j holds
+    a k-path, or None when end comes first.  `leaves(p)` counts the leaves
+    at p.  A longer run's longest path is its length plus one leaf at each
+    leafed end, so j lies k-3 to k-1 steps from i (for k >= 4 a 0/1 leaf
+    bit will do); a one-position run (k = 3) is a star, needing two leaves."""
+    j = i + step * (k - 3)
+    if (j - end) * step > 0:
+        return None
+    has_leaf = leaves(i) > 0
+    if (leaves(i) >= 2) if j == i else (has_leaf and leaves(j)):
+        return j
+    j += step
+    if (j - end) * step > 0:
+        return None
+    if has_leaf or leaves(j):
+        return j
+    j += step
+    return None if (j - end) * step > 0 else j
+
+
 def _partition_endpoint(comp: Caterpillar, k: int, r: VertexId) -> PartitionResult:
     """partition() specialized to a root at a spine endpoint.
 
@@ -172,45 +203,27 @@ def _partition_endpoint(comp: Caterpillar, k: int, r: VertexId) -> PartitionResu
     deepest-first greedy only ever cuts at spine vertices (leaves have height
     1 and no second branch), scanning them from the far end toward the root.
     A cut removes exactly the live run of spine positions behind it together
-    with their leaves, so one linear pass reproduces the generic result.
+    with their leaves, so the next cut is `_first_cut` from the position
+    after it, and the last piece takes the run left behind it.
     """
-    from itertools import chain
-
     spine = comp.spine
     leaves = comp.leaves
-    ell = len(spine)
-    forward = r == spine[-1]
-    idx = range(ell) if forward else range(ell - 1, -1, -1)
+    last = len(spine) - 1
+    step, at, end = (1, 0, last) if r == spine[-1] else (-1, last, 0)
+
+    def count(p: int) -> int:
+        return len(leaves[p])
 
     pieces: list[frozenset[VertexId]] = []
     reps: list[VertexId] = []
-    h_prev = 0  # height of the live spine run on the far side
-    a: int | None = None  # first position of that run
-    for i in idx:
-        nl = len(leaves[i])
-        if h_prev == 0:
-            a = i
-            best = 1 if nl else 0
-            second = 1 if nl >= 2 else 0
-        else:
-            best = h_prev
-            second = 1 if nl else 0
-        if 1 + best + second >= k:
-            lo, hi = (a, i) if forward else (i, a)
-            pieces.append(
-                frozenset(
-                    chain(spine[lo : hi + 1], *leaves[lo : hi + 1])
-                )
-            )
-            reps.append(spine[i])
-            h_prev = 0
-        else:
-            h_prev = 1 + best
-    if pieces and h_prev:
-        lo, hi = (a, ell - 1) if forward else (0, a)
-        pieces[-1] = pieces[-1] | frozenset(
-            chain(spine[lo : hi + 1], *leaves[lo : hi + 1])
-        )
+    cut = _first_cut(count, at, step, k, end)
+    while cut is not None:
+        nxt = _first_cut(count, cut + step, step, k, end)
+        far = end if nxt is None else cut
+        lo, hi = (at, far) if step > 0 else (far, at)
+        pieces.append(frozenset(chain(spine[lo : hi + 1], *leaves[lo : hi + 1])))
+        reps.append(spine[cut])
+        at, cut = cut + step, nxt
     return PartitionResult(tuple(pieces), tuple(reps), len(pieces))
 
 

@@ -162,12 +162,20 @@ class Caterpillar:
     def _min_vertex(self) -> VertexId:
         return min(self.all_vertices(), key=attrgetter("_sort_key"))
 
-    @cached_property
+    @property
     def _canonical(self) -> "Caterpillar":
         """Leaf tuples sorted, and a leafless spine endpoint reclassified as
         a leaf of its neighbour.  The neighbour's leaf tuple is then
         non-empty, so at most one endpoint folds in per side.  A component
         already in normal form is its own canonical form."""
+        other = self._canonical_other
+        return self if other is None else other
+
+    @cached_property
+    def _canonical_other(self) -> "Caterpillar | None":
+        """The canonical form when it is another object, else None: caching
+        the component itself would be a reference cycle, freed only by the
+        cycle collector."""
         spine = self.spine
         leaves = tuple(tuple(sorted(ls)) for ls in self.leaves)
         if len(spine) >= 2 and not leaves[0]:
@@ -177,7 +185,7 @@ class Caterpillar:
             leaves = leaves[:-2] + (tuple(sorted(leaves[-2] + spine[-1:])),)
             spine = spine[:-1]
         if spine is self.spine and leaves == self.leaves:
-            return self
+            return None
         return _raw_component(spine, leaves)
 
     def longest_path_vertices(self) -> int:

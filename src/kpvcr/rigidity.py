@@ -11,18 +11,23 @@ The analysis recurses into subgraphs with tokens deleted, and never builds
 them.  It works on one immutable index of the canonical input forest
 (`_Index`): per component the spine and leaf tuples, which spine positions
 carry leaves, and per k the endpoint greedy's "next cut from a fresh start"
-in each direction.  The index is memoised on the forest object.  A
-subproblem (`_Sub`) is the spine run [lo, hi] of one base component between
-deleted spine vertices, minus the few deleted leaves inside it.  Its
-canonical form is arithmetic: a run end left without leaves folds onto its
-neighbour as a leaf, so the spine proper is [a, b].  Neighbours, distances,
-the H-region window scan, anchors and the local k-path test of a slide are
-all index arithmetic on that interval, and `(component, lo, hi, deleted
-leaves, u)` keys the memo in O(1).  The feed test walks the cut chain from
+in each direction (`cover._first_cut`, the step `partition` itself walks).
+The index is memoised on the forest object.  A subproblem (`_Sub`) is the
+spine run [lo, hi] of one base component between deleted spine vertices,
+minus the few deleted leaves inside it.  Its canonical form is arithmetic:
+a run end left without leaves folds onto its neighbour as a leaf, so the
+spine proper is [a, b].  Neighbours, distances, the H-region window scan,
+anchors and the local k-path test of a slide are all index arithmetic on
+that interval, and `(component, lo, hi, deleted leaves, u)` keys the memo
+in O(1).  The feed test walks the cut chain from
 the region's edge outward and counts tokens per piece from prefix sums,
 which are the only token-dependent tables and live for one rigidity query.
 The recursion runs on an explicit stack: `_decide` yields the subproblems
 it needs and a driver loop sends back their verdicts.
+
+The path classes P(G, I, u) behind the public `classify_k_paths` and
+`find_h_regions` are filtered from `_kpaths._component_paths`, the one k-path
+enumerator.
 
 All entry points that answer rigidity questions require k >= 4; the feed
 test is unsound for k = 3 (a movable anchor with a non-minimum side cover
@@ -36,11 +41,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Generator, Iterator
 
+from ._kpaths import _component_paths
 # partition stays importable from here: the traced benchmark wraps
 # kpvcr.rigidity.partition by name
-from .cover import TokenSet, partition  # noqa: F401
+from .cover import TokenSet, _first_cut, partition  # noqa: F401
 from .errors import InputError, LogicError, UnsupportedParameterError
-from .graph import CaterpillarForest, VertexId
+from .graph import Caterpillar, CaterpillarForest, VertexId
 
 KPath = tuple[VertexId, ...]
 
@@ -108,7 +114,8 @@ class _Component:
     def cuts(self, k: int) -> tuple[list[int | None], list[int | None]]:
         """Per start position, where the endpoint greedy scanning leftward
         (first list) or rightward (second list) from a fresh start there
-        makes its first cut; None when it reaches the spine end first."""
+        makes its first cut; None when it reaches the spine end first.
+        k >= 4 here, so 0/1 leaf bits stand in for leaf counts."""
         got = self._cuts.get(k)
         if got is None:
             bit = self.leafed.__getitem__
@@ -118,22 +125,6 @@ class _Component:
                 [_first_cut(bit, i, 1, k, last) for i in range(last + 1)],
             )
         return got
-
-
-def _first_cut(bit, i: int, step: int, k: int, end: int) -> int | None:
-    """The endpoint greedy of cover.partition, started fresh at spine
-    position i and scanning by step toward end: the first j where the live
-    run i..j holds a k-path (with a leaf at either end when `bit` says that
-    position has one), or None when end comes first.  The run height only
-    depends on those two end bits, so j lies k-3 to k-1 steps from i."""
-    for t in (k - 3, k - 2):
-        j = i + step * t
-        if (j - end) * step > 0:
-            return None
-        if t + 1 + bit(i) + bit(j) >= k:
-            return j
-    j = i + step * (k - 1)
-    return None if (j - end) * step > 0 else j
 
 
 class _Index:
@@ -295,52 +286,36 @@ def _classify(
     k: int,
     within: frozenset[VertexId] | None = None,
 ) -> PathClassification:
+    """The component's k-paths (`_kpaths._component_paths`) that end at u
+    or at a free leaf of u and hold no token but u's.  `sub` is always a
+    whole canonical component, so its k-paths are the component's; those
+    ending at u or a leaf of u stay within k - 1 spine steps of u, so only
+    that window of the spine is enumerated."""
     if k < 3:
         raise InputError("classification requires k >= 3")
-    adj = sub.neighbors
 
     def ok(v: VertexId) -> bool:
-        if within is not None and v not in within:
-            return False
-        return v == u or v not in occupied
+        return v == u or (v not in occupied and (within is None or v in within))
 
-    # simple paths starting at u, all vertices admissible
-    from_u: dict[int, list[KPath]] = {1: [(u,)]}
-    frontier: list[KPath] = [(u,)]
-    for length in range(2, k + 1):
-        nxt: list[KPath] = []
-        for path in frontier:
-            tail = path[-1]
-            for w in adj(tail):
-                if w not in path and ok(w):
-                    nxt.append(path + (w,))
-        from_u[length] = nxt
-        frontier = nxt
-
-    free_leaves = sorted(x for x in sub.leaves(m) if ok(x) and x not in occupied)
-
-    seen: dict[frozenset[VertexId], KPath] = {}
-    for p in from_u.get(k, []):
-        seen.setdefault(frozenset(p), p)
-    for x in free_leaves:
-        for p in from_u.get(k - 1, []):
-            if x not in p:
-                seen.setdefault(frozenset((x,) + p), (x,) + p)
-
+    free_leaves = {x for x in sub.leaves(m) if ok(x)}
+    ends = free_leaves | {u}
     left: list[KPath] = []
     right: list[KPath] = []
     center: list[KPath] = []
     spine = sub.comp.spine
     sl = spine[m - 1] if m > sub.a else None
     sr = spine[m + 1] if m < sub.b else None
-    for key in sorted(seen, key=lambda s: tuple(sorted(v.sort_key for v in s))):
-        p = _orient(seen[key], u, set(free_leaves))
-        if sl is not None and sl in key:
-            left.append(p)
-        elif sr is not None and sr in key:
-            right.append(p)
-        else:
-            center.append(p)
+    lo, hi = max(sub.a, m - k + 1), min(sub.b, m + k - 1)
+    near = Caterpillar(spine[lo : hi + 1], sub.comp.leaves[lo : hi + 1])
+    for p in _component_paths(near, k):
+        if (p[0] in ends or p[-1] in ends) and all(ok(v) for v in p):
+            p = _orient(p, u, free_leaves)
+            if sl is not None and sl in p:
+                left.append(p)
+            elif sr is not None and sr in p:
+                right.append(p)
+            else:
+                center.append(p)
     return PathClassification(frozenset(left), frozenset(right), frozenset(center))
 
 

@@ -5,6 +5,7 @@ checks covers by exhaustive simple-path search, so it shares no code with
 partition / is_kpvc.
 """
 
+import random
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpvcr import InputError, TokenSet, VertexId, is_kpvc, minimum_cover_size, partition
+from kpvcr.cover import _partition_greedy
 
 from conftest import cat, caterpillars, toks
 
@@ -114,6 +116,20 @@ class TestPartition:
             res = partition(G, k, r)
             assert res.psi == want
             assert is_kpvc(G, TokenSet.of(k, res.representatives))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_endpoint_scan_matches_generic_greedy(self, seed):
+        """Rooted at a spine end, partition walks `_first_cut`; it must cut
+        the pieces of the generic deepest-first greedy, one-vertex spines
+        (a star, for k = 3) included."""
+        rng = random.Random(seed)
+        for _ in range(60):
+            ell = rng.randint(1, 40)
+            G = cat(ell, {i: rng.randint(0, 3) for i in range(1, ell + 1)})
+            comp = G.components[0]
+            for k in range(3, 8):
+                for r in (comp.spine[0], comp.spine[-1]):
+                    assert partition(G, k, r) == _partition_greedy(comp, k, r)
 
     def test_deterministic(self):
         G = cat(6, {1: 2, 4: 1})

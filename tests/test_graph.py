@@ -6,6 +6,7 @@ enumeration), never from the functions under test.
 """
 
 import gc
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -233,6 +234,20 @@ class TestRetention:
         refs = self._use_every_table()
         gc.collect()
         assert [r() for r in refs] == [None] * len(refs)
+
+    def test_canonical_component_needs_no_cycle_collector(self):
+        # an already canonical component is its own canonical form; caching
+        # that must not make it refer to itself
+        G = cat(3, {1: 1, 3: 1})
+        canon = G.canonical()
+        assert canon.components[0] is G.components[0]
+        ref = weakref.ref(G.components[0])
+        gc.disable()
+        try:
+            del G, canon
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestVertexId:

@@ -28,7 +28,17 @@ from kpvcr import (
     partition,
     rigid_set,
 )
-from kpvcr.rigidity import _check_window, _classify, _CutChain, _h2_witness, _index, _Sub
+from kpvcr._kpaths import PathCoverContext
+from kpvcr.cover import _partition_greedy
+from kpvcr.rigidity import (
+    _check_window,
+    _classify,
+    _CutChain,
+    _h2_witness,
+    _index,
+    _slide_ok,
+    _Sub,
+)
 
 from conftest import cat, covered_instances, toks, vs
 
@@ -226,16 +236,44 @@ class TestRigidSet:
         assert rigid_set(G, cover).rigid == oracle_rigid_set(G, cover)
 
 
+class TestSlideOk:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_path_cover_context(self, seed):
+        """The engine's arm-length slide test against the bitmask test over
+        the enumerated k-paths through the token, for every spine token and
+        free neighbour of whole components."""
+        rng = random.Random(seed)
+        for _ in range(12):
+            ell = rng.randint(6, 60)
+            prob = rng.choice((0.2, 0.4, 0.7))
+            G = cat(ell, {i: rng.randint(1, 3) for i in range(1, ell + 1) if rng.random() < prob})
+            k = rng.choice((4, 5, 6))
+            density = rng.choice((0.15, 0.3, 0.5))
+            occ = frozenset(v for v in sorted(G.vertices) if rng.random() < density)
+            paths = PathCoverContext(G, k)
+            mask = paths.mask_of(occ)
+            sub = _index(G).whole(VertexId("s", 1))
+            for u in sorted(occ):
+                m, leaf = sub.locate(u)
+                if leaf:
+                    continue
+                for w in sub.neighbors(u):
+                    if w not in occ:
+                        assert _slide_ok(sub, occ, m, w, k) == paths.slide_ok(mask, u, w)
+
+
 class TestCutChain:
-    """The feed test's cut-chain walk against the generic partition.
+    """The feed test's cut-chain walk against the generic greedy.
 
     Each case takes a random caterpillar with a long spine and random
     tokens, cuts out a spine run as if its two neighbours were deleted, and
     deletes some leaf tokens inside it, so run ends fold and leaf bits
     change.  From every start short of the near spine end, in both
-    directions, the walk must cut exactly the pieces `partition` cuts on the
-    same sub-spine rooted at its far end, and agree on (psi, some piece
-    holds >= 2 tokens), memoised or not.
+    directions, the walk must cut exactly the pieces the generic
+    deepest-first greedy cuts on the same sub-spine rooted at its far end,
+    and agree on (psi, some piece holds >= 2 tokens), memoised or not.
+    `partition` rooted there walks `_first_cut` like the chain does, so it
+    would not be an independent reference.
     """
 
     @pytest.mark.parametrize("seed", range(6))
@@ -291,7 +329,7 @@ class TestCutChain:
                 tuple(comp.spine[i] for i in range(span[0], span[1] + 1)),
                 tuple(sub.leaves(i) for i in range(span[0], span[1] + 1)),
             )
-            want = partition(hv, k, comp.spine[chain.end])
+            want = _partition_greedy(hv, k, comp.spine[chain.end])
             assert [comp.spine[c] for _, _, c in got] == list(want.representatives)
             assert [vertices(x, y) for x, y, _ in got] == list(want.pieces)
             doubled = any(len(piece & tokens) >= 2 for piece in want.pieces)
