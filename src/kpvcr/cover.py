@@ -18,8 +18,9 @@ representative v.  Walking up from a single deepest vertex is not enough on
 general trees (the first k-path can straddle two branches of an ancestor),
 hence the local two-branch height test at every vertex (`_partition_greedy`,
 kept for every root and as the reference).  Rooted at a spine end the greedy
-is a chain of `_first_cut` steps along the spine, the one copy of that step:
-the rigidity engine's cut tables and cut chains call it too.
+is a chain of `_first_cut` steps along the spine, walked by
+`_endpoint_pieces`: `partition` builds its pieces from that walk, and the
+rigidity engine's feed test walks the same generator on its subproblems.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InputError
 from .graph import Caterpillar, CaterpillarForest, VertexId
@@ -97,7 +98,7 @@ def partition(
     if k < 3:
         raise InputError("partition requires k >= 3")
     comp = _as_single_component(tree)
-    if not any(v == r for v in comp.all_vertices()):
+    if r not in comp._positions:
         raise InputError(f"root {r} not in tree")
     if r == comp.spine[0] or r == comp.spine[-1]:
         # minimum covers are usually rooted at a spine endpoint, where the
@@ -179,8 +180,8 @@ def _first_cut(leaves, i: int, step: int, k: int, end: int) -> int | None:
     and scanning by step toward end, the first j where the run i..j holds
     a k-path, or None when end comes first.  `leaves(p)` counts the leaves
     at p.  A longer run's longest path is its length plus one leaf at each
-    leafed end, so j lies k-3 to k-1 steps from i (for k >= 4 a 0/1 leaf
-    bit will do); a one-position run (k = 3) is a star, needing two leaves."""
+    leafed end, so j lies k-3 to k-1 steps from i; a one-position run
+    (k = 3) is a star, needing two leaves."""
     j = i + step * (k - 3)
     if (j - end) * step > 0:
         return None
@@ -196,6 +197,20 @@ def _first_cut(leaves, i: int, step: int, k: int, end: int) -> int | None:
     return None if (j - end) * step > 0 else j
 
 
+def _endpoint_pieces(
+    leaves, start: int, step: int, k: int, end: int
+) -> Iterator[tuple[int, int, int]]:
+    """The endpoint greedy's walk from a fresh start toward end: the
+    (near, far, cut) spine positions of each piece, in cut order.  Each cut
+    is `_first_cut` from the position after the previous one, and the last
+    piece also takes the run behind its cut, up to end."""
+    at, cut = start, _first_cut(leaves, start, step, k, end)
+    while cut is not None:
+        nxt = _first_cut(leaves, cut + step, step, k, end)
+        yield at, (end if nxt is None else cut), cut
+        at, cut = cut + step, nxt
+
+
 def _partition_endpoint(comp: Caterpillar, k: int, r: VertexId) -> PartitionResult:
     """partition() specialized to a root at a spine endpoint.
 
@@ -203,27 +218,22 @@ def _partition_endpoint(comp: Caterpillar, k: int, r: VertexId) -> PartitionResu
     deepest-first greedy only ever cuts at spine vertices (leaves have height
     1 and no second branch), scanning them from the far end toward the root.
     A cut removes exactly the live run of spine positions behind it together
-    with their leaves, so the next cut is `_first_cut` from the position
-    after it, and the last piece takes the run left behind it.
+    with their leaves, so the pieces are `_endpoint_pieces` from the far end.
     """
     spine = comp.spine
     leaves = comp.leaves
     last = len(spine) - 1
-    step, at, end = (1, 0, last) if r == spine[-1] else (-1, last, 0)
+    step, start, end = (1, 0, last) if r == spine[-1] else (-1, last, 0)
 
     def count(p: int) -> int:
         return len(leaves[p])
 
     pieces: list[frozenset[VertexId]] = []
     reps: list[VertexId] = []
-    cut = _first_cut(count, at, step, k, end)
-    while cut is not None:
-        nxt = _first_cut(count, cut + step, step, k, end)
-        far = end if nxt is None else cut
-        lo, hi = (at, far) if step > 0 else (far, at)
+    for near, far, cut in _endpoint_pieces(count, start, step, k, end):
+        lo, hi = (near, far) if step > 0 else (far, near)
         pieces.append(frozenset(chain(spine[lo : hi + 1], *leaves[lo : hi + 1])))
         reps.append(spine[cut])
-        at, cut = cut + step, nxt
     return PartitionResult(tuple(pieces), tuple(reps), len(pieces))
 
 

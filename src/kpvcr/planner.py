@@ -260,23 +260,18 @@ class _CompCtx:
         order = vertex_order(comp)
         self.rank = order.rank
         self.desc = sorted(self.rank, key=self.rank.__getitem__, reverse=True)
-        self.spos: dict[VertexId, int] = {}
+        self.spos = comp._positions
         self.is_leaf: dict[VertexId, bool] = {}
         self.spine_of: dict[VertexId, VertexId] = {}
         self.left_spine: dict[VertexId, VertexId | None] = {}
         self.right_spine: dict[VertexId, VertexId | None] = {}
         for i, (s, ls) in enumerate(zip(comp.spine, comp.leaves)):
-            self.spos[s] = i
             self.is_leaf[s] = False
             self.left_spine[s] = comp.spine[i - 1] if i > 0 else None
             self.right_spine[s] = comp.spine[i + 1] if i + 1 < len(comp.spine) else None
             for x in ls:
-                self.spos[x] = i
                 self.is_leaf[x] = True
                 self.spine_of[x] = s
-
-    def slide_ok(self, occ: int, frm: VertexId, to: VertexId) -> bool:
-        return self.paths.slide_ok(occ, frm, to)
 
 
 @lru_cache(maxsize=4096)
@@ -336,7 +331,7 @@ def _settle(
         if advanced is None and ctx.is_leaf[y]:
             # no token can be brought closer; steal from the spine vertex
             nbr = ctx.spine_of[y]
-            if (occ & bit[nbr]) and ctx.slide_ok(occ, nbr, y):
+            if (occ & bit[nbr]) and ctx.paths.slide_ok(occ, nbr, y):
                 occ = (occ ^ bit[nbr]) | bit[y]
                 moves.append((nbr, y))
                 stack.pop()
@@ -386,7 +381,7 @@ def _pull_left(
         if not (occ & bit[q]):
             continue
         lq = ctx.left_spine[q]
-        if lq is None or (occ & bit[lq]) or not ctx.slide_ok(occ, q, lq):
+        if lq is None or (occ & bit[lq]) or not ctx.paths.slide_ok(occ, q, lq):
             return None
         occ = (occ ^ bit[q]) | bit[lq]
         moves.append((q, lq))
@@ -423,7 +418,7 @@ def _advance(
                 continue
             sp = ctx.spine_of[p]
             if not (occ & bit[sp]):
-                if ctx.slide_ok(occ, p, sp):
+                if ctx.paths.slide_ok(occ, p, sp):
                     occ = (occ ^ bit[p]) | bit[sp]
                     moves.append((p, sp))
                     return occ
@@ -432,7 +427,7 @@ def _advance(
                 if res is not None:
                     occ, cascade_moves, displaced = res
                     moves.extend(cascade_moves)
-                    if not ctx.slide_ok(occ, p, sp):
+                    if not ctx.paths.slide_ok(occ, p, sp):
                         raise LogicError("leaf lift invalid after cascade")
                     occ = (occ ^ bit[p]) | bit[sp]
                     moves.append((p, sp))
@@ -446,7 +441,7 @@ def _advance(
             nxt = ctx.right_spine[p]
             if nxt is None or ctx.spos[nxt] > ylim:
                 continue
-            if not (occ & bit[nxt]) and ctx.slide_ok(occ, p, nxt):
+            if not (occ & bit[nxt]) and ctx.paths.slide_ok(occ, p, nxt):
                 occ = (occ ^ bit[p]) | bit[nxt]
                 moves.append((p, nxt))
                 return occ
@@ -471,7 +466,7 @@ def _unpark(
         if not ctx.is_leaf[q] or ctx.spos[q] < from_spos or not (occ & bit[q]):
             continue
         sp = ctx.spine_of[q]
-        if (occ & bit[sp]) or not ctx.slide_ok(occ, q, sp):
+        if (occ & bit[sp]) or not ctx.paths.slide_ok(occ, q, sp):
             continue
         occ = (occ ^ bit[q]) | bit[sp]
         moves.append((q, sp))
@@ -505,7 +500,7 @@ def _make_room(
     ]
     for q in sorted(blockers, key=rank.__getitem__):
         nxt = ctx.right_spine[q]
-        if nxt is None or (occ & bit[nxt]) or not ctx.slide_ok(occ, q, nxt):
+        if nxt is None or (occ & bit[nxt]) or not ctx.paths.slide_ok(occ, q, nxt):
             continue
         occ = (occ ^ bit[q]) | bit[nxt]
         moves.append((q, nxt))
@@ -532,7 +527,7 @@ def _try_cascade(
     first = None
     for m, c in enumerate(chain):
         lq = ctx.left_spine[c]
-        if lq is not None and not (occ & bit[lq]) and ctx.slide_ok(occ, c, lq):
+        if lq is not None and not (occ & bit[lq]) and ctx.paths.slide_ok(occ, c, lq):
             first = m
             break
     if first is None:
@@ -543,7 +538,7 @@ def _try_cascade(
     for j in range(first, -1, -1):
         c = chain[j]
         lq = ctx.left_spine[c]
-        if lq is None or (work & bit[lq]) or not ctx.slide_ok(work, c, lq):
+        if lq is None or (work & bit[lq]) or not ctx.paths.slide_ok(work, c, lq):
             return None
         work = (work ^ bit[c]) | bit[lq]
         cascade_moves.append((c, lq))

@@ -9,21 +9,20 @@ can be fed into it.
 
 The analysis recurses into subgraphs with tokens deleted, and never builds
 them.  It works on one immutable index of the canonical input forest
-(`_Index`): per component the spine and leaf tuples, which spine positions
-carry leaves, and per k the endpoint greedy's "next cut from a fresh start"
-in each direction (`cover._first_cut`, the step `partition` itself walks).
-The index is memoised on the forest object.  A subproblem (`_Sub`) is the
-spine run [lo, hi] of one base component between deleted spine vertices,
-minus the few deleted leaves inside it.  Its canonical form is arithmetic:
-a run end left without leaves folds onto its neighbour as a leaf, so the
-spine proper is [a, b].  Neighbours, distances, the H-region window scan,
-anchors and the local k-path test of a slide are all index arithmetic on
-that interval, and `(component, lo, hi, deleted leaves, u)` keys the memo
-in O(1).  The feed test walks the cut chain from
-the region's edge outward and counts tokens per piece from prefix sums,
-which are the only token-dependent tables and live for one rigidity query.
-The recursion runs on an explicit stack: `_decide` yields the subproblems
-it needs and a driver loop sends back their verdicts.
+(`_Index`): per component the spine and leaf tuples, and where each vertex
+sits.  The index is memoised on the forest object.  A subproblem (`_Sub`) is
+the spine run [lo, hi] of one base component between deleted spine vertices,
+minus the few deleted leaves inside it.  Its canonical form is arithmetic: a
+run end left without leaves folds onto its neighbour as a leaf, so the spine
+proper is [a, b].  Neighbours, distances, the H-region window scan, anchors
+and the local k-path test of a slide are all index arithmetic on that
+interval, and `(component, lo, hi, deleted leaves, u)` keys the memo in
+O(1).  The feed test walks the endpoint greedy from the region's edge
+outward on the subproblem's own leaf counts (`cover._endpoint_pieces`, the
+walk `partition` builds its pieces from) and counts tokens per piece from
+prefix sums, which are the only token-dependent tables and live for one
+rigidity query.  The recursion runs on an explicit stack: `_decide` yields
+the subproblems it needs and a driver loop sends back their verdicts.
 
 The path classes P(G, I, u) behind the public `classify_k_paths` and
 `find_h_regions` are filtered from `_kpaths._component_paths`, the one k-path
@@ -44,7 +43,7 @@ from typing import Generator, Iterator
 from ._kpaths import _component_paths
 # partition stays importable from here: the traced benchmark wraps
 # kpvcr.rigidity.partition by name
-from .cover import TokenSet, _first_cut, partition  # noqa: F401
+from .cover import TokenSet, _endpoint_pieces, partition  # noqa: F401
 from .errors import InputError, LogicError, UnsupportedParameterError
 from .graph import Caterpillar, CaterpillarForest, VertexId
 
@@ -103,28 +102,11 @@ _NO_LEAVES: frozenset[VertexId] = frozenset()
 class _Component:
     """Token-independent arrays of one canonical base component."""
 
-    __slots__ = ("spine", "leaves", "leafed", "_cuts")
+    __slots__ = ("spine", "leaves")
 
     def __init__(self, spine: tuple[VertexId, ...], leaves: tuple[tuple[VertexId, ...], ...]):
         self.spine = spine
         self.leaves = leaves
-        self.leafed = [1 if ls else 0 for ls in leaves]
-        self._cuts: dict[int, tuple[list[int | None], list[int | None]]] = {}
-
-    def cuts(self, k: int) -> tuple[list[int | None], list[int | None]]:
-        """Per start position, where the endpoint greedy scanning leftward
-        (first list) or rightward (second list) from a fresh start there
-        makes its first cut; None when it reaches the spine end first.
-        k >= 4 here, so 0/1 leaf bits stand in for leaf counts."""
-        got = self._cuts.get(k)
-        if got is None:
-            bit = self.leafed.__getitem__
-            last = len(self.spine) - 1
-            got = self._cuts[k] = (
-                [_first_cut(bit, i, -1, k, 0) for i in range(last + 1)],
-                [_first_cut(bit, i, 1, k, last) for i in range(last + 1)],
-            )
-        return got
 
 
 class _Index:
@@ -712,62 +694,37 @@ class _RigidityContext:
 
 class _CutChain:
     """The endpoint greedy of cover.partition on a subproblem's spine,
-    scanning by `step` toward its spine end and rooted there, by lookup in
-    the base component's cut table.
+    scanning by `step` toward its spine end and rooted there: the walk of
+    `cover._endpoint_pieces` on the subproblem's leaf counts.
 
     It serves starts short of the subproblem's other spine end, so only
     the far end matters: whether a run end folds in there, and the deleted
-    leaves.  Leaf bits differ from the base where a deleted leaf was the
-    last one of its position and where the run end folds in; a cut whose
-    span touches such a position is recomputed.  Token counts come from the
-    base prefix sums minus the deleted leaves, which all carry tokens.
-    Pieces from a given start always form the same chain, so whether one of
-    them holds two tokens is memoised per start.
+    leaves.  Token counts come from the base prefix sums minus the deleted
+    leaves, which all carry tokens.  Pieces from a given start always form
+    the same chain, so whether one of them holds two tokens is memoised per
+    start.
     """
 
-    __slots__ = ("comp", "where", "dl", "end", "raw_end", "step", "k", "prefix", "table", "bits", "_doubled")
+    __slots__ = ("live", "where", "dl", "end", "raw_end", "step", "k", "prefix", "_doubled")
 
     def __init__(self, sub: _Sub, step: int, k: int, prefix: list[int]):
-        self.comp, self.where, self.dl = sub.comp, sub.index.where, sub.dl
+        self.live, self.where, self.dl = sub.live, sub.index.where, sub.dl
         self.step, self.k, self.prefix = step, k, prefix
         # the far spine end, and the run end folded onto it as a leaf (or
         # the end itself)
         self.end, self.raw_end = (sub.a, sub.lo) if step < 0 else (sub.b, sub.hi)
-        self.table = sub.comp.cuts(k)[0 if step < 0 else 1]
-        self.bits: dict[int, int] = {}
-        for i in {self.where[x][1] for x in sub.dl} | {self.end}:
-            if (i - self.end) * step > 0:
-                continue
-            bit = 1 if sub.live(i) or (i == self.end != self.raw_end) else 0
-            if bit != sub.comp.leafed[i]:
-                self.bits[i] = bit
         self._doubled: dict[int, bool] = {}
 
-    def cut(self, i: int) -> int | None:
-        """First cut from a fresh start at i, or None past the end."""
-        step, k, end = self.step, self.k, self.end
-        if (i - end) * step > 0:
-            return None
-        if self.bits:
-            reach = i + step * (k - 1)
-            if any(min(i, reach) <= p <= max(i, reach) for p in self.bits):
-                base = self.comp.leafed
-                return _first_cut(lambda p: self.bits.get(p, base[p]), i, step, k, end)
-        j = self.table[i]
-        if j is None or (j - end) * step > 0:
-            return None
-        return j
+    def leaves(self, p: int) -> int:
+        """Leaves at spine position p, the run end folded onto the far end
+        included."""
+        return len(self.live(p)) + (p == self.end != self.raw_end)
 
     def pieces(self, start: int) -> Iterator[tuple[int, int, int]]:
         """(near, far, cut) spine positions of each piece from a fresh start,
         in cut order; the last piece also takes the live run after its cut,
         up to the end."""
-        at, cut = start, self.cut(start)
-        while cut is not None:
-            after = cut + self.step
-            nxt = self.cut(after)
-            yield at, (self.end if nxt is None else cut), cut
-            at, cut = after, nxt
+        return _endpoint_pieces(self.leaves, start, self.step, self.k, self.end)
 
     def doubled_from(self, start: int) -> bool:
         """Does a piece from `start` (which has a first cut) hold two or

@@ -4,7 +4,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 Criteria 1-6 and 8 work over the exhaustive small family (every canonical
 caterpillar with spine 2-5, per-vertex leaf counts 0-2, at most 12 vertices;
 k in {4, 5}; every cover of size psi..psi+2).  Criterion 3 walks every
-ordered YES pair of that family and takes about ten minutes; criterion 7
+ordered YES pair of that family and takes three to seven minutes; criterion 7
 benchmarks the large-instance path.
 
 The exact family counts asserted below (191 graphs, 1146 cases, 34420

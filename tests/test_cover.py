@@ -119,9 +119,9 @@ class TestPartition:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_endpoint_scan_matches_generic_greedy(self, seed):
-        """Rooted at a spine end, partition walks `_first_cut`; it must cut
-        the pieces of the generic deepest-first greedy, one-vertex spines
-        (a star, for k = 3) included."""
+        """Rooted at a spine end, partition walks `_endpoint_pieces`; it
+        must cut the pieces of the generic deepest-first greedy, one-vertex
+        spines (a star, for k = 3) included."""
         rng = random.Random(seed)
         for _ in range(60):
             ell = rng.randint(1, 40)

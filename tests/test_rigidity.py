@@ -272,8 +272,9 @@ class TestCutChain:
     directions, the walk must cut exactly the pieces the generic
     deepest-first greedy cuts on the same sub-spine rooted at its far end,
     and agree on (psi, some piece holds >= 2 tokens), memoised or not.
-    `partition` rooted there walks `_first_cut` like the chain does, so it
-    would not be an independent reference.
+    `partition` rooted there walks `cover._endpoint_pieces`, the very
+    generator the chain returns, so it would not be an independent
+    reference.
     """
 
     @pytest.mark.parametrize("seed", range(6))
