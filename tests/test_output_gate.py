@@ -1,0 +1,97 @@
+"""Byte-for-byte gates on the planner's witnesses and the generator's output.
+
+`test_witness_digest` digests `build_sequence` in both directions on seeded
+`kpvcr gen` instances: spine 4-120, k 4-6, every other one scrambled.  A
+pair the planner cannot route contributes its `LogicError` message instead
+of a witness, so a changed failure shows as well.  `test_render_digest`
+digests `random_instance(...).render()` on spines up to 3,000, k 3-6, with
+and without scrambling; the benchmark draws its instances through
+`random_instance`, so its inputs depend on this output too.
+
+The digests were recorded from the planner and generator that tested each
+slide against whole-forest k-path bitmasks (`_kpaths.PathCoverContext`);
+any slide test must reproduce them exactly.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import pytest
+
+from kpvcr import GenerateConfig, LogicError, build_sequence, random_instance
+from kpvcr.instance import render_witness
+
+
+def _digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def _witness_configs(k: int) -> list[GenerateConfig]:
+    rng = random.Random(6000 + k)
+    return [
+        GenerateConfig(
+            spine=rng.randint(4, 120),
+            leaf_prob=rng.choice((0.2, 0.4, 0.7)),
+            k=k,
+            seed=rng.randrange(2**31),
+            scramble=i % 2 == 1,
+        )
+        for i in range(66)
+    ]
+
+
+def _witness_lines(config: GenerateConfig) -> list[str]:
+    inst = random_instance(config)
+    forest = inst.forest()
+    I, J = inst.start_tokens(), inst.target_tokens()
+    lines = []
+    for a, b in ((I, J), (J, I)):
+        try:
+            lines.append(render_witness(build_sequence(forest, a, b).moves))
+        except LogicError as exc:
+            lines.append(f"error {exc}")
+    return lines
+
+
+WITNESS_DIGESTS = {
+    4: "07a49bfdfd1133e1",
+    5: "7b4d2a04d4b74a86",
+    6: "de82ec5bc32ac877",
+}
+
+
+@pytest.mark.parametrize("k", sorted(WITNESS_DIGESTS))
+def test_witness_digest(k):
+    lines = [line for c in _witness_configs(k) for line in _witness_lines(c)]
+    assert _digest(lines) == WITNESS_DIGESTS[k]
+
+
+def _render_configs(k: int) -> list[GenerateConfig]:
+    rng = random.Random(7000 + k)
+    return [
+        GenerateConfig(
+            spine=spine,
+            leaf_prob=rng.choice((0.0, 0.2, 0.4, 0.7, 1.0)),
+            k=k,
+            seed=rng.randrange(2**31),
+            scramble=scramble,
+        )
+        for spine in (2, 3, 5, 9, 17, 60, 250, 900, 3000)
+        for scramble in (False, True)
+    ]
+
+
+RENDER_DIGESTS = {
+    3: "090bf154be4e7ea1",
+    4: "6b30a5f29b1938c5",
+    5: "ce171dc5d93b86b4",
+    6: "a318a0d49d3a9fe9",
+}
+
+
+@pytest.mark.parametrize("k", sorted(RENDER_DIGESTS))
+def test_render_digest(k):
+    lines = [random_instance(c).render() for c in _render_configs(k)]
+    assert _digest(lines) == RENDER_DIGESTS[k]

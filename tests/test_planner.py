@@ -237,3 +237,34 @@ class TestConstructSi:
     def test_requires_x_before_y(self):
         with pytest.raises(LogicError):
             construct_si(PATH5, toks(4, "s3", "s5"), toks(4, "s2", "s5"), 1)
+
+
+# Reproducers of the engine's known defects past the exhaustive family
+# (ROADMAP item 1).  Each test states the correct behaviour and is expected
+# to fail; strict, so a change in the engine's behaviour on them shows.
+_DEFECT = "ROADMAP item 1: known defect past the exhaustive small family"
+SPINE7 = cat(7, {1: 1, 2: 2, 3: 1, 6: 1, 7: 1})
+SPINE7_PAIR = (toks(4, "l1.1", "s1", "s3", "s6"), toks(4, "l2.1", "l7.1", "s2", "s4"))
+SPINE6 = cat(6, {1: 3, 2: 3, 3: 3, 5: 3, 6: 1})
+SPINE6_PAIR = (toks(4, "l2.1", "l6.1", "s2", "s5"), toks(4, "l1.1", "l5.2", "s2", "s5"))
+SPINE8 = cat(8, {1: 1, 2: 2, 3: 1, 6: 1, 7: 2, 8: 1})
+SPINE8_PAIR = (toks(4, "l2.1", "l2.2", "l6.1", "s3", "s7"), toks(4, "l2.1", "l7.1", "s2", "s5", "s7"))
+
+
+class TestKnownDefects:
+    @pytest.mark.xfail(strict=True, raises=LogicError, reason=_DEFECT)
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_spine7_witness(self, backward):
+        I, J = SPINE7_PAIR[::-1] if backward else SPINE7_PAIR
+        seq = build_sequence(SPINE7, I, J)
+        assert validate_sequence(SPINE7, 4, seq) and seq.end.occupied == J.occupied
+
+    @pytest.mark.xfail(strict=True, raises=LogicError, reason=_DEFECT)
+    def test_spine6_witness_at_psi_plus_2(self):
+        I, J = SPINE6_PAIR
+        seq = build_sequence(SPINE6, I, J)
+        assert validate_sequence(SPINE6, 4, seq) and seq.end.occupied == J.occupied
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=_DEFECT)
+    def test_spine8_verdict(self):
+        assert is_ts_reachable(SPINE8, *SPINE8_PAIR) == oracle_reachable(SPINE8, *SPINE8_PAIR)
