@@ -1,25 +1,32 @@
-"""Exhaustive k-path bookkeeping used by the fast validity checks.
+"""k-path bookkeeping: the one k-path enumerator and the one slide test.
 
 `_component_paths` is the project's one k-path enumerator.  It lists every
 k-vertex simple path of a caterpillar directly from the spine structure: a
 path is a spine interval, optionally extended by one leaf at either end (or
 two leaves of the same spine vertex when the interval is a single vertex).
-The planner and the brute-force oracle check cover validity against these
-paths through `PathCoverContext`, and `rigidity` classifies them into the
-path classes behind H-regions.  is_kpvc in cover.py deliberately uses a
-different route (deletion + longest path) so the two can cross-check.
+`rigidity` classifies them into the path classes behind H-regions, and the
+brute-force oracle checks covers against them through `PathCoverContext`,
+which packs the whole forest's k-paths into bitmasks.  That costs memory
+quadratic in the spine, so only the oracle, on its small inputs, uses it.
+
+`slide_ok` is the slide test of the planner, the generator and the rigidity
+engine: does sliding a spine token to a free neighbour keep a set a k-PVC?
+It walks the token's arms over an int of the component's routing ranks
+(`graph.Ranks`) and reads only the k - 1 positions either side.  A leaf
+token sliding onto its free spine vertex needs no test, because every
+k-path through a leaf passes its spine vertex.  is_kpvc in cover.py
+deliberately uses a different route (deletion + longest path) so the
+routes can cross-check.
 
 Nothing here is cached at module level: a PathCoverContext enumerates the
-paths of its forest once and holds the tables for as long as its owner
-keeps it (the planner's per-component context, one oracle call, one
-generated instance).
+paths of its forest once and lives as long as the oracle call holding it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .graph import Caterpillar, CaterpillarForest, VertexId
+from .graph import Caterpillar, CaterpillarForest, Ranks, VertexId
 
 
 def _component_paths(comp: Caterpillar, k: int) -> list[tuple[VertexId, ...]]:
@@ -44,6 +51,40 @@ def _component_paths(comp: Caterpillar, k: int) -> list[tuple[VertexId, ...]]:
             elif extra == 2:
                 paths.extend((x,) + core + (y,) for x in leaves[p] for y in leaves[q])
     return paths
+
+
+def slide_ok(ranks: Ranks, occ: int, m: int, w: int, k: int) -> bool:
+    """Would sliding the token on spine position m to its free neighbour of
+    rank w keep `occ`, an int over `ranks`, a k-path vertex cover?
+
+    Only k-paths through the token's vertex can lose their token, and one
+    is left uncovered exactly when the longest token-free path through that
+    vertex after the slide has k or more vertices.  That path runs along a
+    free spine arm either way (at most k - 1 steps, plus a free leaf at its
+    far end).  A side without such an arm can take a free leaf of the
+    token's own vertex instead; a spine arm is never shorter than that.
+    """
+    spine, first = ranks.spine, ranks.first
+    lo = m - k + 1 if m >= k - 1 else 0
+    hi = m + k - 1 if m + k <= len(spine) else len(spine) - 1
+    base = first[lo]
+    # occupancy of positions lo..hi after the slide, rank `base` at bit 0;
+    # the token's own bit is never read
+    after = (occ >> base & ((1 << (spine[hi] + 1 - base)) - 1)) | 1 << (w - base)
+    longest = 1
+    bare_sides = 0
+    for step, end in ((-1, lo), (1, hi)):
+        i = m
+        while i != end and not after >> (spine[i + step] - base) & 1:
+            i += step
+        if i == m:
+            bare_sides += 1
+        else:
+            leaves = (1 << (spine[i] - first[i])) - 1
+            longest += abs(i - m) + (after >> (first[i] - base) & leaves != leaves)
+    n = spine[m] - first[m]
+    free = n - (after >> (first[m] - base) & ((1 << n) - 1)).bit_count()
+    return longest + min(free, bare_sides) < k
 
 
 class PathCoverContext:

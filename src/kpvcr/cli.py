@@ -1,7 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 for YES / valid output, 1 for NO / invalid, 2 for input
-errors (bad files, unsupported k), 3 for resource limits.
+errors (bad files, unsupported k), 3 for resource limits, 4 for an internal
+error (a `LogicError`: a broken invariant, such as the planner failing to
+route a YES instance), so that a crash never reads as NO or INVALID.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import InputError, ResourceLimitError, UnsupportedParameterError
+from .errors import InputError, LogicError, ResourceLimitError, UnsupportedParameterError
 from .generate import GenerateConfig, random_instance
 from .instance import (
     InstanceFile,
@@ -165,7 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leaf-prob", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--scramble", action="store_true")
+    p.add_argument(
+        "--scramble",
+        action="store_true",
+        help="walk the target from the minimum cover rooted at the other "
+        "spine end; the instance is still usually YES",
+    )
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("export-dot", help="export the instance graph as DOT")
@@ -190,6 +197,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except LogicError as exc:
+        print(f"error: internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 def run() -> None:

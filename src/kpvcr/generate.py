@@ -6,10 +6,15 @@ start and the target are random slide walks away from a minimum cover.  By
 default both walks leave the same base cover, so the instance is always a
 YES instance.  With scramble the target walk instead starts from the
 partition rooted at the opposite spine end, which is still a minimum cover
-of the same size but need not be reachable from the start.
+of the same size.  That does not make NO instances: 196 of 196 scrambled
+draws were YES.  For a NO pair that passes the size check, split a cover
+at a deleted spine vertex, as tests/test_metamorphic.py does.
 
-Instances are capped at instance.MAX_VERTICES vertices, the most
-parse_instance accepts; a larger request fails before the forest is built.
+Each walk tests its slides with `_kpaths.slide_ok` on the generated
+component's routing ranks, so generation takes time and memory linear in
+the instance.  Instances are capped at instance.MAX_VERTICES vertices, the
+most parse_instance accepts; a larger request fails before the forest is
+built.
 """
 
 from __future__ import annotations
@@ -17,10 +22,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ._kpaths import PathCoverContext
+from ._kpaths import slide_ok
 from .cover import partition
 from .errors import InputError
-from .graph import CaterpillarForest, VertexId
+from .graph import Caterpillar, CaterpillarForest, VertexId
 from .instance import MAX_VERTICES, InstanceFile
 
 
@@ -58,13 +63,13 @@ def random_instance(config: GenerateConfig) -> InstanceFile:
     forest = CaterpillarForest.from_counts(config.spine, leaf_counts)
 
     base = _minimum_cover(forest, config.k, from_right=False)
-    slides = PathCoverContext(forest, config.k)
-    start = _walk(slides, base, rng)
+    (comp,) = forest.components
+    start = _walk(comp, config.k, base, rng)
     if config.scramble:
         other = _minimum_cover(forest, config.k, from_right=True)
-        target = _walk(slides, other, rng)
+        target = _walk(comp, config.k, other, rng)
     else:
-        target = _walk(slides, base, rng)
+        target = _walk(comp, config.k, base, rng)
 
     return InstanceFile(
         k=config.k,
@@ -86,10 +91,11 @@ def _minimum_cover(
 
 
 def _walk(
-    slides: PathCoverContext, cover: frozenset[VertexId], rng: random.Random
+    comp: Caterpillar, k: int, cover: frozenset[VertexId], rng: random.Random
 ) -> frozenset[VertexId]:
     """Apply a bounded number of random valid slides to the cover."""
-    occ = slides.mask_of(cover)
+    ranks = comp._ranks
+    occ = ranks.mask_of(cover)
     tokens = sorted(cover)
     if not tokens:
         return cover
@@ -97,13 +103,19 @@ def _walk(
     for _ in range(attempts):
         i = rng.randrange(len(tokens))
         frm = tokens[i]
-        nbrs = slides.neighbor_bits[frm]
+        nbrs = comp._adjacency[frm]
         if not nbrs:
             continue
-        to, tb = nbrs[rng.randrange(len(nbrs))]
-        if slides.slide_ok(occ, frm, to):
-            occ = (occ & ~slides.bit[frm]) | tb
-            tokens[i] = to
+        to = nbrs[rng.randrange(len(nbrs))]
+        a, b = ranks.rank[frm], ranks.rank[to]
+        if occ >> b & 1:
+            continue
+        # a leaf token moving onto its spine vertex needs no slide test
+        m = ranks.pos[a]
+        if a == ranks.spine[m] and not slide_ok(ranks, occ, m, b, k):
+            continue
+        occ ^= 1 << a | 1 << b
+        tokens[i] = to
     return frozenset(tokens)
 
 

@@ -11,10 +11,11 @@ Deletion has induced-subgraph semantics: surviving vertices keep exactly the
 edges they had before, so deleting a spine vertex orphans its remaining
 leaves into singleton components and splits the spine into runs.
 
-Derived structure (positions, adjacency, canonical form, vertex sets, the
-vertex -> component memo) is computed on first use and stored on the frozen
-object it describes, as a `cached_property`, so it lives exactly as long as
-that object.  This module keeps no module-level cache.
+Derived structure (positions, routing ranks, adjacency, canonical form,
+vertex sets, the vertex -> component memo) is computed on first use and
+stored on the frozen object it describes, as a `cached_property`, so it
+lives exactly as long as that object.  This module keeps no module-level
+cache.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ class VertexId:
 
     Ordering is (spine index, spine-before-leaf... no: leaves compare after
     their spine vertex) -- concretely (i, kind, j) with 's' < 'l'.  This is
-    only a tie-break order; the reconfiguration vertex order lives in
-    planner.vertex_order.
+    only a tie-break order; the reconfiguration vertex order is
+    Caterpillar._ranks (see Ranks).
     """
 
     kind: str  # "s" or "l"
@@ -145,6 +146,10 @@ class Caterpillar:
         return pos
 
     @cached_property
+    def _ranks(self) -> "Ranks":
+        return Ranks(self)
+
+    @cached_property
     def _adjacency(self) -> dict[VertexId, tuple[VertexId, ...]]:
         spine = self.spine
         adj: dict[VertexId, list[VertexId]] = {v: [] for v in self.all_vertices()}
@@ -195,6 +200,39 @@ class Caterpillar:
         if len(self.spine) == 1:
             return 1 + min(2, len(self.leaves[0]))
         return len(self.spine) + bool(self.leaves[0]) + bool(self.leaves[-1])
+
+
+class Ranks:
+    """A component's vertices numbered in the routing order: the leaves of
+    spine position i (sorted), then its spine vertex, then position i + 1.
+    Position i thus holds the contiguous ranks first[i]..spine[i], its
+    leaves below its spine vertex.  Token sets over these ranks are ints
+    (`mask_of`); the slide test (`_kpaths.slide_ok`), the planner and the
+    rigidity engine read them."""
+
+    __slots__ = ("order", "rank", "pos", "spine", "first")
+
+    def __init__(self, comp: Caterpillar):
+        order: list[VertexId] = []
+        self.pos: list[int] = []  # spine position of each rank
+        self.spine: list[int] = []  # rank of each position's spine vertex
+        self.first: list[int] = []  # rank of each position's first vertex
+        for i, (s, ls) in enumerate(zip(comp.spine, comp.leaves)):
+            self.first.append(len(order))
+            order.extend(sorted(ls))
+            order.append(s)
+            self.spine.append(len(order) - 1)
+            self.pos.extend([i] * (len(ls) + 1))
+        self.order = tuple(order)
+        self.rank = {v: r for r, v in enumerate(order)}
+
+    def mask_of(self, vertices: Iterable[VertexId]) -> int:
+        """The int with bit rank[v] set for each v, in time linear in the
+        component: one binary digit string, its last digit rank 0."""
+        digits = bytearray(b"0" * len(self.order))
+        for v in vertices:
+            digits[~self.rank[v]] = ord("1")
+        return int(digits, 2)
 
 
 def _raw_component(

@@ -14,6 +14,13 @@ tokens; displaced settle targets are reopened and refilled before the
 routine returns, which keeps the sorted-suffix invariant that the literal
 push loop alone would lose.
 
+The routing works on the component's routing ranks (`Caterpillar._ranks`,
+the table `vertex_order` also reads): rank order is the caterpillar order,
+occupancy is an int over ranks, and every spine token's slide goes through
+`_kpaths.slide_ok`, the test the generator and the rigidity engine use.  A
+leaf token lifted onto its free spine vertex needs no test, because every
+k-path through a leaf passes its spine vertex.
+
 Token identity is not tracked: covers are sets and any token may end up on
 any matched target.
 """
@@ -24,10 +31,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from ._kpaths import PathCoverContext
+from ._kpaths import slide_ok
 from .cover import TokenSet, is_kpvc
 from .errors import InputError, LogicError, UnsupportedParameterError
-from .graph import Caterpillar, CaterpillarForest, VertexId
+from .graph import Caterpillar, CaterpillarForest, Ranks, VertexId
 from .rigidity import rigid_set
 
 Move = tuple[VertexId, VertexId]
@@ -90,15 +97,7 @@ def vertex_order(forest: CaterpillarForest | Caterpillar) -> VertexOrder:
         comp = forest.components[0]
     else:
         comp = forest
-    rank: dict[VertexId, int] = {}
-    n = 0
-    for s, ls in zip(comp.spine, comp.leaves):
-        for x in sorted(ls):
-            rank[x] = n
-            n += 1
-        rank[s] = n
-        n += 1
-    return VertexOrder(rank)
+    return VertexOrder(comp._ranks.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +215,9 @@ def construct_si(
         raise LogicError("construct_si requires x_i before y_i")
     if rigid_set(forest, current).rigid:
         raise LogicError("construct_si requires an empty rigid set")
-    ctx = _comp_ctx(comp, current.k)
-    occ = ctx.paths.mask_of(current.occupied)
-    moves: list[Move] = []
-    _settle(ctx, occ, moves, ys[i - 1], set(ys[i:]))
-    return TsSequence(current, tuple(moves))
+    router = _Router(comp._ranks, current.k, current.occupied)
+    router.settle(order.key(ys[i - 1]), {order.key(y) for y in ys[i:]})
+    return TsSequence(current, tuple(router.vertex_moves()))
 
 
 def validate_sequence(forest: CaterpillarForest, k: int, seq: TsSequence) -> bool:
@@ -247,303 +244,202 @@ def validate_sequence(forest: CaterpillarForest, k: int, seq: TsSequence) -> boo
 
 
 # ---------------------------------------------------------------------------
-# Per-component machinery
+# Per-component machinery: vertices are routing ranks, moves rank pairs
 # ---------------------------------------------------------------------------
 
 
-class _CompCtx:
-    def __init__(self, comp: Caterpillar, k: int):
-        self.comp = comp
-        self.k = k
-        self.paths = PathCoverContext(CaterpillarForest.single(comp), k)
-        self.bit = self.paths.bit
-        order = vertex_order(comp)
-        self.rank = order.rank
-        self.desc = sorted(self.rank, key=self.rank.__getitem__, reverse=True)
-        self.spos = comp._positions
-        self.is_leaf: dict[VertexId, bool] = {}
-        self.spine_of: dict[VertexId, VertexId] = {}
-        self.left_spine: dict[VertexId, VertexId | None] = {}
-        self.right_spine: dict[VertexId, VertexId | None] = {}
-        for i, (s, ls) in enumerate(zip(comp.spine, comp.leaves)):
-            self.is_leaf[s] = False
-            self.left_spine[s] = comp.spine[i - 1] if i > 0 else None
-            self.right_spine[s] = comp.spine[i + 1] if i + 1 < len(comp.spine) else None
-            for x in ls:
-                self.is_leaf[x] = True
-                self.spine_of[x] = s
-
-
-@lru_cache(maxsize=4096)
-def _comp_ctx(comp: Caterpillar, k: int) -> _CompCtx:
-    return _CompCtx(comp, k)
+def _members(occ: int) -> Iterator[int]:
+    """The set ranks of occ, ascending: C-speed scans of its digit string."""
+    digits = bin(occ)[:1:-1]  # digits[r] is bit r
+    r = digits.find("1")
+    while r >= 0:
+        yield r
+        r = digits.find("1", r + 1)
 
 
 def _plan_component(
     comp: Caterpillar, ic: frozenset[VertexId], jc: frozenset[VertexId], k: int
 ) -> list[Move]:
-    ctx = _comp_ctx(comp, k)
-    rank = ctx.rank
-    a = ctx.paths.mask_of(ic)
-    b = ctx.paths.mask_of(jc)
-    moves_a: list[Move] = []
-    moves_b: list[Move] = []
+    a = _Router(comp._ranks, k, ic)
+    b = _Router(comp._ranks, k, jc)
     guard = 0
-    while a != b:
+    while a.occ != b.occ:
         guard += 1
         if guard > 8 * (len(ic) + 2):
             raise LogicError("planner did not converge on matched suffixes")
-        xs = sorted(ctx.paths.vertices_of(a), key=rank.__getitem__)
-        ys = sorted(ctx.paths.vertices_of(b), key=rank.__getitem__)
+        xs = list(_members(a.occ))
+        ys = list(_members(b.occ))
         i = max(j for j in range(len(xs)) if xs[j] != ys[j])
-        if rank[xs[i]] < rank[ys[i]]:
-            a = _settle(ctx, a, moves_a, ys[i], set(ys[i + 1 :]))
+        if xs[i] < ys[i]:
+            a.settle(ys[i], set(ys[i + 1 :]))
         else:
-            b = _settle(ctx, b, moves_b, xs[i], set(xs[i + 1 :]))
-    return moves_a + [(to, frm) for frm, to in reversed(moves_b)]
+            b.settle(xs[i], set(xs[i + 1 :]))
+    return a.vertex_moves() + [(to, frm) for frm, to in reversed(b.vertex_moves())]
 
 
-def _settle(
-    ctx: _CompCtx,
-    occ: int,
-    moves: list[Move],
-    target: VertexId,
-    protected: set[VertexId],
-) -> int:
-    """Fill `target` (and any settle positions displaced along the way)
-    without permanently disturbing `protected` positions."""
-    bit = ctx.bit
-    stack = [target]
-    refills: set[VertexId] = set()
-    cap = 8 * (len(ctx.rank) + 4) ** 2
-    steps = 0
-    while stack:
-        steps += 1
-        if steps > cap:
-            raise LogicError("token routing failed to converge")
-        y = stack[-1]
-        if occ & bit[y]:
-            stack.pop()
-            protected.add(y)
-            refills.discard(y)
-            continue
-        advanced = _advance(ctx, occ, moves, y, protected, stack, refills)
-        if advanced is None and ctx.is_leaf[y]:
-            # no token can be brought closer; steal from the spine vertex
-            nbr = ctx.spine_of[y]
-            if (occ & bit[nbr]) and ctx.paths.slide_ok(occ, nbr, y):
-                occ = (occ ^ bit[nbr]) | bit[y]
-                moves.append((nbr, y))
+class _Router:
+    """One cover's routing on a component: occupancy as an int over the
+    component's routing ranks, and the slides made so far as rank pairs.
+    Each routing step below makes one slide (a cascade several) and says
+    whether it moved."""
+
+    def __init__(self, ranks: Ranks, k: int, cover: frozenset[VertexId]):
+        self.ranks, self.k = ranks, k
+        self.occ = ranks.mask_of(cover)
+        self.moves: list[tuple[int, int]] = []
+        self.protected: set[int] = set()
+        self.stack: list[int] = []
+
+    def vertex_moves(self) -> list[Move]:
+        order = self.ranks.order
+        return [(order[frm], order[to]) for frm, to in self.moves]
+
+    def settle(self, target: int, protected: set[int]) -> None:
+        """Fill `target` (and any settle positions displaced along the way)
+        without permanently disturbing `protected` positions."""
+        self.protected = protected
+        stack = self.stack = [target]
+        cap = 8 * (len(self.ranks.order) + 4) ** 2
+        steps = 0
+        while stack:
+            steps += 1
+            if steps > cap:
+                raise LogicError("token routing failed to converge")
+            y = stack[-1]
+            if self.occ >> y & 1:
                 stack.pop()
                 protected.add(y)
-                refills.discard(y)
-                if nbr in protected:
-                    # stole a settled token; refill its position next
-                    protected.discard(nbr)
-                    stack.append(nbr)
-                    refills.add(nbr)
                 continue
-        if advanced is None:
-            advanced = _pull_left(ctx, occ, moves, y, protected, stack, refills, ctx.spos[y] + 1)
-        if advanced is None:
-            advanced = _unpark(ctx, occ, moves, y, protected, stack, refills, ctx.spos[y] + 1)
-        if advanced is None:
-            advanced = _make_room(ctx, occ, moves, y, protected, stack, refills)
-        if advanced is None:
-            # last resorts: pull the steal source itself one step left so
-            # support can regroup behind it, or raise a settled leaf token
-            # sharing y's column
-            advanced = _pull_left(ctx, occ, moves, y, protected, stack, refills, ctx.spos[y])
-        if advanced is None:
-            advanced = _unpark(ctx, occ, moves, y, protected, stack, refills, ctx.spos[y])
-        if advanced is None:
-            raise LogicError("no token can advance toward the target")
-        occ = advanced
-    return occ
+            # after make_room, the last resorts pull the steal source itself
+            # one step left so support can regroup behind it, or raise a
+            # settled leaf token sharing y's column
+            i = self.ranks.pos[y]
+            if not (
+                self.advance(y)
+                or self.steal(y)
+                or self.pull_left(i + 1)
+                or self.unpark(i + 1)
+                or self.make_room(y)
+                or self.pull_left(i)
+                or self.unpark(i)
+            ):
+                raise LogicError("no token can advance toward the target")
 
+    def can_slide(self, i: int, w: int) -> bool:
+        """Can the spine token at position i slide to w right now?"""
+        return not self.occ >> w & 1 and slide_ok(self.ranks, self.occ, i, w, self.k)
 
-def _pull_left(
-    ctx: _CompCtx,
-    occ: int,
-    moves: list[Move],
-    y: VertexId,
-    protected: set[VertexId],
-    stack: list[VertexId],
-    refills: set[VertexId],
-    from_spos: int,
-) -> int | None:
-    """Pull the nearest occupied spine token at spine position >= from_spos
-    one step left.  Used to refill reopened positions and to bring cover
-    support close enough for a leaf steal; like _make_room, a displaced
-    settle position is queued for refilling."""
-    bit = ctx.bit
-    for q in ctx.comp.spine[from_spos:]:
-        if not (occ & bit[q]):
-            continue
-        lq = ctx.left_spine[q]
-        if lq is None or (occ & bit[lq]) or not ctx.paths.slide_ok(occ, q, lq):
-            return None
-        occ = (occ ^ bit[q]) | bit[lq]
-        moves.append((q, lq))
-        if q in protected:
-            protected.discard(q)
-            stack.insert(0, q)
-            refills.add(q)
-        return occ
-    return None
+    def slide(self, frm: int, to: int) -> None:
+        self.occ ^= 1 << frm | 1 << to
+        self.moves.append((frm, to))
 
-
-def _advance(
-    ctx: _CompCtx,
-    occ: int,
-    moves: list[Move],
-    y: VertexId,
-    protected: set[VertexId],
-    stack: list[VertexId],
-    refills: set[VertexId],
-) -> int | None:
-    """One push-right step: move the smallest-ordered eligible token one step
-    toward y (spine slide, leaf lift, or leaf lift after a left-cascade).
-    Advancing from the back keeps the tokens packed, so that by the time a
-    steal onto a leaf target is attempted its support is already in place.
-    Returns None when no eligible token can move."""
-    bit = ctx.bit
-    rank = ctx.rank
-    ylim = ctx.spos[y]
-    for p in reversed(ctx.desc):
-        if not (occ & bit[p]) or p in protected or rank[p] >= rank[y]:
-            continue
-        if ctx.is_leaf[p]:
-            if ctx.spos[p] > ylim:
-                continue
-            sp = ctx.spine_of[p]
-            if not (occ & bit[sp]):
-                if ctx.paths.slide_ok(occ, p, sp):
-                    occ = (occ ^ bit[p]) | bit[sp]
-                    moves.append((p, sp))
-                    return occ
+    def reopen(self, q: int, next_: bool) -> None:
+        """A slide vacated q: if it was settled, refill it next, or after
+        every queued target."""
+        if q in self.protected:
+            self.protected.discard(q)
+            if next_:
+                self.stack.append(q)
             else:
-                res = _try_cascade(ctx, occ, sp)
-                if res is not None:
-                    occ, cascade_moves, displaced = res
-                    moves.extend(cascade_moves)
-                    if not ctx.paths.slide_ok(occ, p, sp):
-                        raise LogicError("leaf lift invalid after cascade")
-                    occ = (occ ^ bit[p]) | bit[sp]
-                    moves.append((p, sp))
-                    for q in displaced:
-                        if q in protected:
-                            protected.discard(q)
-                            stack.append(q)
-                            refills.add(q)
-                    return occ
-        else:
-            nxt = ctx.right_spine[p]
-            if nxt is None or ctx.spos[nxt] > ylim:
+                self.stack.insert(0, q)
+
+    def displace(self, frm: int, to: int) -> bool:
+        self.slide(frm, to)
+        self.reopen(frm, next_=False)
+        return True
+
+    def advance(self, y: int) -> bool:
+        """One push-right step: move the smallest-ordered eligible token one
+        step toward y (spine slide, leaf lift, or leaf lift after a
+        left-cascade).  Advancing from the back keeps the tokens packed, so
+        that by the time a steal onto a leaf target is attempted its
+        support is already in place."""
+        pos, spine = self.ranks.pos, self.ranks.spine
+        for p in _members(self.occ & ((1 << y) - 1)):
+            if p in self.protected:
                 continue
-            if not (occ & bit[nxt]) and ctx.paths.slide_ok(occ, p, nxt):
-                occ = (occ ^ bit[p]) | bit[nxt]
-                moves.append((p, nxt))
-                return occ
-    return None
+            i = pos[p]
+            if p != spine[i]:
+                # a leaf lift needs no slide test
+                if not self.occ >> spine[i] & 1 or self.cascade(i):
+                    self.slide(p, spine[i])
+                    return True
+            elif i < pos[y] and self.can_slide(i, spine[i + 1]):
+                self.slide(p, spine[i + 1])
+                return True
+        return False
 
+    def cascade(self, i: int) -> bool:
+        """Vacate the spine vertex at position i by sliding it (and as many
+        of the occupied spine vertices to its right as needed) one step
+        left; settled positions it vacates are refilled next."""
+        spine = self.ranks.spine
+        chain: list[int] = []
+        for q in range(i, len(spine)):
+            if self.occ >> spine[q] & 1:
+                chain.append(q)
+                if q and self.can_slide(q, spine[q - 1]):
+                    break
+        else:
+            return False
+        saved = self.occ, len(self.moves)
+        for q in reversed(chain):
+            if not (q and self.can_slide(q, spine[q - 1])):
+                self.occ = saved[0]
+                del self.moves[saved[1] :]
+                return False
+            self.slide(spine[q], spine[q - 1])
+        for q in reversed(chain):
+            self.reopen(spine[q], next_=True)
+        return True
 
-def _unpark(
-    ctx: _CompCtx,
-    occ: int,
-    moves: list[Move],
-    y: VertexId,
-    protected: set[VertexId],
-    stack: list[VertexId],
-    refills: set[VertexId],
-    from_spos: int,
-) -> int | None:
-    """Temporarily lift the nearest settled leaf token at spine position
-    >= from_spos back onto its free spine vertex so it can support a steal
-    onto y; the leaf is queued for refilling afterwards."""
-    bit = ctx.bit
-    for q in sorted(protected, key=ctx.rank.__getitem__):
-        if not ctx.is_leaf[q] or ctx.spos[q] < from_spos or not (occ & bit[q]):
-            continue
-        sp = ctx.spine_of[q]
-        if (occ & bit[sp]) or not ctx.paths.slide_ok(occ, q, sp):
-            continue
-        occ = (occ ^ bit[q]) | bit[sp]
-        moves.append((q, sp))
-        protected.discard(q)
-        stack.insert(0, q)
-        refills.add(q)
-        return occ
-    return None
+    def steal(self, y: int) -> bool:
+        """When no token can be brought closer to a leaf target, take the
+        token of its spine vertex; a settled one is refilled next."""
+        i = self.ranks.pos[y]
+        nbr = self.ranks.spine[i]
+        if y == nbr or not self.occ >> nbr & 1 or not self.can_slide(i, y):
+            return False
+        self.slide(nbr, y)
+        self.stack.pop()
+        self.protected.add(y)
+        self.reopen(nbr, next_=True)
+        return True
 
+    def pull_left(self, from_pos: int) -> bool:
+        """Pull the nearest occupied spine token at spine position >=
+        from_pos one step left.  Used to refill reopened positions and to
+        bring cover support close enough for a leaf steal."""
+        spine = self.ranks.spine
+        for i in range(from_pos, len(spine)):
+            if self.occ >> spine[i] & 1:
+                if i == 0 or not self.can_slide(i, spine[i - 1]):
+                    return False
+                return self.displace(spine[i], spine[i - 1])
+        return False
 
-def _make_room(
-    ctx: _CompCtx,
-    occ: int,
-    moves: list[Move],
-    y: VertexId,
-    protected: set[VertexId],
-    stack: list[VertexId],
-    refills: set[VertexId],
-) -> int | None:
-    """Deadlock breaker: slide the nearest blocking spine token (at or past
-    y, or protected) one step right; a displaced settle position is queued
-    for refilling after the current target."""
-    bit = ctx.bit
-    rank = ctx.rank
-    blockers = [
-        q
-        for q in ctx.desc
-        if (occ & bit[q])
-        and not ctx.is_leaf[q]
-        and (rank[q] >= rank[y] or q in protected)
-    ]
-    for q in sorted(blockers, key=rank.__getitem__):
-        nxt = ctx.right_spine[q]
-        if nxt is None or (occ & bit[nxt]) or not ctx.paths.slide_ok(occ, q, nxt):
-            continue
-        occ = (occ ^ bit[q]) | bit[nxt]
-        moves.append((q, nxt))
-        if q in protected:
-            protected.discard(q)
-            stack.insert(0, q)
-            refills.add(q)
-        return occ
-    return None
+    def unpark(self, from_pos: int) -> bool:
+        """Temporarily lift the nearest settled leaf token at spine position
+        >= from_pos back onto its free spine vertex so it can support a
+        steal; the leaf is refilled afterwards."""
+        pos, spine = self.ranks.pos, self.ranks.spine
+        for q in sorted(self.protected):
+            sp = spine[pos[q]]
+            if q != sp and pos[q] >= from_pos and self.occ >> q & 1 and not self.occ >> sp & 1:
+                return self.displace(q, sp)
+        return False
 
-
-def _try_cascade(
-    ctx: _CompCtx, occ: int, sp: VertexId
-) -> tuple[int, list[Move], list[VertexId]] | None:
-    """Vacate spine vertex sp by sliding it (and as many of the occupied
-    spine vertices to its right as needed) one step left."""
-    bit = ctx.bit
-    chain = [sp]
-    q = ctx.right_spine[sp]
-    while q is not None:
-        if occ & bit[q]:
-            chain.append(q)
-        q = ctx.right_spine[q]
-    first = None
-    for m, c in enumerate(chain):
-        lq = ctx.left_spine[c]
-        if lq is not None and not (occ & bit[lq]) and ctx.paths.slide_ok(occ, c, lq):
-            first = m
-            break
-    if first is None:
-        return None
-    work = occ
-    cascade_moves: list[Move] = []
-    displaced: list[VertexId] = []
-    for j in range(first, -1, -1):
-        c = chain[j]
-        lq = ctx.left_spine[c]
-        if lq is None or (work & bit[lq]) or not ctx.paths.slide_ok(work, c, lq):
-            return None
-        work = (work ^ bit[c]) | bit[lq]
-        cascade_moves.append((c, lq))
-        displaced.append(c)
-    return work, cascade_moves, displaced
+    def make_room(self, y: int) -> bool:
+        """Deadlock breaker: slide the nearest blocking spine token (at or
+        past y, or protected) one step right."""
+        pos, spine = self.ranks.pos, self.ranks.spine
+        for q in _members(self.occ):
+            i = pos[q]
+            if q != spine[i] or (q < y and q not in self.protected) or i + 1 == len(spine):
+                continue
+            if self.can_slide(i, spine[i + 1]):
+                return self.displace(q, spine[i + 1])
+        return False
 
 
 def _route_unconstrained(

@@ -9,20 +9,24 @@ can be fed into it.
 
 The analysis recurses into subgraphs with tokens deleted, and never builds
 them.  It works on one immutable index of the canonical input forest
-(`_Index`): per component the spine and leaf tuples, and where each vertex
-sits.  The index is memoised on the forest object.  A subproblem (`_Sub`) is
-the spine run [lo, hi] of one base component between deleted spine vertices,
-minus the few deleted leaves inside it.  Its canonical form is arithmetic: a
-run end left without leaves folds onto its neighbour as a leaf, so the spine
-proper is [a, b].  Neighbours, distances, the H-region window scan, anchors
-and the local k-path test of a slide are all index arithmetic on that
-interval, and `(component, lo, hi, deleted leaves, u)` keys the memo in
-O(1).  The feed test walks the endpoint greedy from the region's edge
-outward on the subproblem's own leaf counts (`cover._endpoint_pieces`, the
-walk `partition` builds its pieces from) and counts tokens per piece from
-prefix sums, which are the only token-dependent tables and live for one
-rigidity query.  The recursion runs on an explicit stack: `_decide` yields
-the subproblems it needs and a driver loop sends back their verdicts.
+(`_Index`): its canonical components, and where each vertex sits.  The
+index is memoised on the forest object.  A subproblem (`_Sub`) is the spine
+run [lo, hi] of one base component between deleted spine vertices, minus
+the few deleted leaves inside it.  Its canonical form is arithmetic: a run
+end left without leaves folds onto its neighbour as a leaf, so the spine
+proper is [a, b].  Neighbours, distances, the H-region window scan and
+anchors are all index arithmetic on that interval, and `(component, lo, hi,
+deleted leaves, u)` keys the memo in O(1).  Whether a token can slide right
+now is the shared `_kpaths.slide_ok` on the base component and the query's
+token mask: every deleted vertex is a token, so the test's arm walk stops
+where the subproblem's run ends and needs no subproblem bounds.  The feed
+test walks the endpoint greedy from the region's edge outward on the
+subproblem's own leaf counts (`cover._endpoint_pieces`, the walk `partition`
+builds its pieces from) and counts tokens per piece from prefix sums.  The
+token masks and prefix sums are the only token-dependent tables and live
+for one rigidity query.  The recursion runs on an explicit stack: `_decide`
+yields the subproblems it needs and a driver loop sends back their
+verdicts.
 
 The path classes P(G, I, u) behind the public `classify_k_paths` and
 `find_h_regions` are filtered from `_kpaths._component_paths`, the one k-path
@@ -40,7 +44,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Generator, Iterator
 
-from ._kpaths import _component_paths
+from ._kpaths import _component_paths, slide_ok
 # partition stays importable from here: the traced benchmark wraps
 # kpvcr.rigidity.partition by name
 from .cover import TokenSet, _endpoint_pieces, partition  # noqa: F401
@@ -99,28 +103,16 @@ _NO_LEAVES: frozenset[VertexId] = frozenset()
 # ---------------------------------------------------------------------------
 
 
-class _Component:
-    """Token-independent arrays of one canonical base component."""
-
-    __slots__ = ("spine", "leaves")
-
-    def __init__(self, spine: tuple[VertexId, ...], leaves: tuple[tuple[VertexId, ...], ...]):
-        self.spine = spine
-        self.leaves = leaves
-
-
 class _Index:
-    """The canonical form of a forest as arrays: components, plus each
-    vertex's (component, spine position, is a spine vertex)."""
+    """The canonical form of a forest: its components, plus each vertex's
+    (component, spine position, is a spine vertex)."""
 
     __slots__ = ("comps", "where")
 
     def __init__(self, forest: CaterpillarForest):
-        self.comps: list[_Component] = []
+        self.comps = [raw._canonical for raw in forest.components]
         self.where: dict[VertexId, tuple[int, int, bool]] = {}
-        for ci, raw in enumerate(forest.components):
-            comp = raw._canonical
-            self.comps.append(_Component(comp.spine, comp.leaves))
+        for ci, comp in enumerate(self.comps):
             for i, (s, ls) in enumerate(zip(comp.spine, comp.leaves)):
                 self.where[s] = (ci, i, True)
                 for x in ls:
@@ -470,32 +462,6 @@ def _anchor_set(
 # ---------------------------------------------------------------------------
 
 
-def _slide_ok(
-    sub: _Sub, occupied: frozenset[VertexId], m: int, w: VertexId, k: int
-) -> bool:
-    """Would sliding the token on spine position m to its free neighbour w
-    keep the cover valid right now?  Only k-paths through it can lose their
-    token, and one exists exactly when the longest token-free path through
-    it that avoids w has k or more vertices.  That path joins the two
-    longest arms: a free spine run either way (plus a free leaf at its far
-    end), or a free leaf of the token's own vertex."""
-    spine = sub.comp.spine
-    wp, w_leaf = sub.locate(w)
-    arms: list[int] = []
-    for step, end in ((-1, sub.a), (1, sub.b)):
-        if not w_leaf and wp == m + step:
-            continue
-        i = m
-        while i != end and abs(i - m) < k - 1 and spine[i + step] not in occupied:
-            i += step
-        if i != m:
-            arms.append(abs(i - m) + any(x not in occupied for x in sub.leaves(i)))
-    free = sum(1 for x in sub.leaves(m) if x not in occupied) - w_leaf
-    arms.extend([1] * min(free, 2))
-    arms.sort(reverse=True)
-    return 1 + sum(arms[:2]) < k
-
-
 _Query = tuple | None  # a subproblem memo key, None for an isolated vertex
 
 
@@ -520,6 +486,7 @@ class _RigidityContext:
         self.k = tokens.k
         self._memo: dict[tuple, RigidDecision] = {}
         self._prefix: dict[int, list[int]] = {}
+        self._masks: dict[int, int] = {}
         self._chains: dict[tuple, _CutChain] = {}
 
     def verdict(self, u: VertexId) -> RigidDecision:
@@ -561,7 +528,7 @@ class _RigidityContext:
             return _MOVABLE
         # spine vertex: a token with an immediately valid slide is movable
         for w in nbrs:
-            if w not in occ and _slide_ok(sub, occ, m, w, k):
+            if w not in occ and self.slide_ok(ci, m, w):
                 return _MOVABLE
         if all(v in occ for v in nbrs):
             for v in nbrs:
@@ -621,7 +588,7 @@ class _RigidityContext:
             pw = pv + (1 if m > pv else -1)
             if spine[pw] in occ:
                 raise LogicError("anchor interior occupied")
-            if _slide_ok(sub, occ, pv, spine[pw], k):
+            if self.slide_ok(sub.ci, pv, spine[pw]):
                 moved = ((pv, -1), (pw, 1))
                 pv = pw
                 if wa <= pv <= wb:
@@ -661,6 +628,16 @@ class _RigidityContext:
             if chain.tokens(near, far, moved) >= 2:
                 return True
         return False
+
+    def slide_ok(self, ci: int, m: int, w: VertexId) -> bool:
+        """`_kpaths.slide_ok` on base component ci and the query's tokens
+        there; it answers for every subproblem of ci (see the module
+        docstring)."""
+        ranks = self.index.comps[ci]._ranks
+        mask = self._masks.get(ci)
+        if mask is None:
+            mask = self._masks[ci] = ranks.mask_of(v for v in ranks.order if v in self.occupied)
+        return slide_ok(ranks, mask, m, ranks.rank[w], self.k)
 
     def chain(self, sub: _Sub, step: int) -> "_CutChain":
         """The subproblem's cut chain toward its spine end in direction

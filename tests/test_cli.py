@@ -24,6 +24,16 @@ start l1.1 l3.1
 target l2.1 s2
 """
 
+# decide says YES, and the planner cannot route it (ROADMAP item 1)
+UNROUTED_INSTANCE = """\
+kpvcr 1
+k 4
+spine 7
+leaves 1=1 2=2 3=1 6=1 7=1
+start l1.1 s1 s3 s6
+target l2.1 l7.1 s2 s4
+"""
+
 K3_INSTANCE = """\
 kpvcr 1
 k 3
@@ -94,6 +104,16 @@ class TestWitness:
     def test_witness_on_no_instance(self, no_file, capsys):
         assert main(["witness", no_file]) == 1
         assert capsys.readouterr().out.strip() == "NO"
+
+    def test_internal_error_is_not_no(self, tmp_path, capsys):
+        p = tmp_path / "unrouted.kpvcr"
+        p.write_text(UNROUTED_INSTANCE)
+        out = tmp_path / "out.witness"
+        assert main(["witness", str(p), "-o", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal error:")
+        assert not out.exists()
 
     def test_check_rejects_wrong_endpoint(self, yes_file, tmp_path, capsys):
         wpath = tmp_path / "stub.witness"

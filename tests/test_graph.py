@@ -210,6 +210,22 @@ class TestCanonical:
         assert _adj_oracle(G.canonical()) == _adj_oracle(G)
 
 
+class TestRanks:
+    def test_positions_are_contiguous_rank_runs(self):
+        comp = cat(4, {1: 2, 3: 1}).components[0]
+        ranks = comp._ranks
+        assert [str(v) for v in ranks.order] == ["l1.1", "l1.2", "s1", "s2", "l3.1", "s3", "s4"]
+        assert ranks.first == [0, 3, 4, 6]
+        assert ranks.spine == [2, 3, 5, 6]
+        assert ranks.pos == [0, 0, 0, 1, 2, 2, 3]
+        assert all(ranks.rank[v] == r for r, v in enumerate(ranks.order))
+
+    def test_mask_of(self):
+        ranks = cat(4, {1: 2, 3: 1}).components[0]._ranks
+        assert ranks.mask_of(vs("l1.2", "s3")) == 0b100010
+        assert ranks.mask_of(()) == 0
+
+
 class TestRetention:
     @staticmethod
     def _use_every_table() -> list:
@@ -225,6 +241,7 @@ class TestRetention:
         assert canon != G and canon.vertices == G.vertices
         paths = PathCoverContext(G, 4)
         assert paths.is_cover(paths.mask_of(cover.occupied))
+        assert canon.components[0]._ranks.mask_of(cover.occupied)
         rigid_set(G, cover)
         return weakrefs(G) + weakrefs(canon)
 

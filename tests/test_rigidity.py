@@ -36,7 +36,7 @@ from kpvcr.rigidity import (
     _CutChain,
     _h2_witness,
     _index,
-    _slide_ok,
+    _RigidityContext,
     _Sub,
 )
 
@@ -239,7 +239,8 @@ class TestRigidSet:
 class TestSlideOk:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_path_cover_context(self, seed):
-        """The engine's arm-length slide test against the bitmask test over
+        """The engine's slide test (`_kpaths.slide_ok` on the base
+        component and the query's token mask) against the bitmask test over
         the enumerated k-paths through the token, for every spine token and
         free neighbour of whole components."""
         rng = random.Random(seed)
@@ -252,6 +253,7 @@ class TestSlideOk:
             occ = frozenset(v for v in sorted(G.vertices) if rng.random() < density)
             paths = PathCoverContext(G, k)
             mask = paths.mask_of(occ)
+            ctx = _RigidityContext(G, TokenSet(occ, k))
             sub = _index(G).whole(VertexId("s", 1))
             for u in sorted(occ):
                 m, leaf = sub.locate(u)
@@ -259,7 +261,7 @@ class TestSlideOk:
                     continue
                 for w in sub.neighbors(u):
                     if w not in occ:
-                        assert _slide_ok(sub, occ, m, w, k) == paths.slide_ok(mask, u, w)
+                        assert ctx.slide_ok(0, m, w) == paths.slide_ok(mask, u, w)
 
 
 class TestCutChain:
