@@ -11,10 +11,9 @@ draws were YES.  For a NO pair that passes the size check, split a cover
 at a deleted spine vertex, as tests/test_metamorphic.py does.
 
 Each walk tests its slides with `_kpaths.slide_ok` on the generated
-component's routing ranks, so generation takes time and memory linear in
-the instance.  Instances are capped at instance.MAX_VERTICES vertices, the
-most parse_instance accepts; a larger request fails before the forest is
-built.
+component's routing ranks, so generation needs memory linear in the
+instance.  Instances are capped at instance.MAX_VERTICES vertices, the most
+parse_instance accepts; a larger request fails before the forest is built.
 """
 
 from __future__ import annotations

@@ -207,8 +207,8 @@ class Ranks:
     spine position i (sorted), then its spine vertex, then position i + 1.
     Position i thus holds the contiguous ranks first[i]..spine[i], its
     leaves below its spine vertex.  Token sets over these ranks are ints
-    (`mask_of`); the slide test (`_kpaths.slide_ok`), the planner and the
-    rigidity engine read them."""
+    (`mask_of`), which the slide test (`_kpaths.slide_ok`) reads for the
+    planner, the generator and the rigidity engine."""
 
     __slots__ = ("order", "rank", "pos", "spine", "first")
 
