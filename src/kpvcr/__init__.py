@@ -10,7 +10,6 @@ from .errors import (
     InstanceFormatError,
     KpvcrError,
     LogicError,
-    PathError,
     ResourceLimitError,
     UnsupportedParameterError,
 )
@@ -34,13 +33,11 @@ from .oracle import (
 )
 from .planner import (
     TsSequence,
-    VertexOrder,
     build_sequence,
     construct_si,
     is_ts_reachable,
     reachability_signature,
     validate_sequence,
-    vertex_order,
 )
 from .rigidity import (
     HRegion,
@@ -71,7 +68,6 @@ __all__ = [
     "LogicError",
     "PartitionResult",
     "PathClassification",
-    "PathError",
     "ResourceLimitError",
     "RigidDecision",
     "RigidReport",
@@ -80,7 +76,6 @@ __all__ = [
     "TsSequence",
     "UnsupportedParameterError",
     "VertexId",
-    "VertexOrder",
     "anchor_set",
     "build_sequence",
     "can_feed_region",
@@ -106,5 +101,4 @@ __all__ = [
     "render_witness",
     "rigid_set",
     "validate_sequence",
-    "vertex_order",
 ]

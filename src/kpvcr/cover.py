@@ -8,7 +8,7 @@ is_kpvc memoises its verdicts in a module-level cache keyed by (forest,
 tokens, k), because validate_sequence meets the same covers again across
 the witnesses of one forest.  That cache keeps every forest it has seen
 alive for the life of the process.  The structural tables that partition
-and is_kpvc read (adjacency, positions) live on the graph objects
+and is_kpvc read (routing ranks, canonical forms) live on the graph objects
 themselves and die with them (see graph).
 
 partition implements the greedy decomposition into properly rooted subtrees:
@@ -98,7 +98,7 @@ def partition(
     if k < 3:
         raise InputError("partition requires k >= 3")
     comp = _as_single_component(tree)
-    if r not in comp._positions:
+    if r not in comp._ranks.rank:
         raise InputError(f"root {r} not in tree")
     if r == comp.spine[0] or r == comp.spine[-1]:
         # minimum covers are usually rooted at a spine endpoint, where the
@@ -110,8 +110,6 @@ def partition(
 def _partition_greedy(comp: Caterpillar, k: int, r: VertexId) -> PartitionResult:
     """The generic deepest-first greedy, for any root; the reference the
     endpoint specialization is tested against."""
-    adj = comp._adjacency
-
     # integer-indexed BFS tree; vertex ids only reappear in the results
     verts: list[VertexId] = [r]
     index: dict[VertexId, int] = {r: 0}
@@ -120,7 +118,7 @@ def _partition_greedy(comp: Caterpillar, k: int, r: VertexId) -> PartitionResult
     qi = 0
     while qi < len(verts):
         v = verts[qi]
-        for u in adj[v]:
+        for u in comp.neighbors(v):
             if u not in index:
                 index[u] = len(verts)
                 verts.append(u)

@@ -15,10 +15,6 @@ class InputError(KpvcrError):
     """Malformed arguments: unknown vertex ids, bad parameters, parse failures."""
 
 
-class PathError(InputError):
-    """A path query between vertices in different components."""
-
-
 class InstanceFormatError(InputError):
     """Instance or witness file rejected by the parser.
 

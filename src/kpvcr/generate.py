@@ -102,7 +102,7 @@ def _walk(
     for _ in range(attempts):
         i = rng.randrange(len(tokens))
         frm = tokens[i]
-        nbrs = comp._adjacency[frm]
+        nbrs = comp.neighbors(frm)
         if not nbrs:
             continue
         to = nbrs[rng.randrange(len(nbrs))]

@@ -11,11 +11,14 @@ Deletion has induced-subgraph semantics: surviving vertices keep exactly the
 edges they had before, so deleting a spine vertex orphans its remaining
 leaves into singleton components and splits the spine into runs.
 
-Derived structure (positions, routing ranks, adjacency, canonical form,
-vertex sets, the vertex -> component memo) is computed on first use and
-stored on the frozen object it describes, as a `cached_property`, so it
-lives exactly as long as that object.  This module keeps no module-level
-cache.
+Each component has one vertex table, `Ranks`: its vertices numbered in the
+routing order, with each rank's spine position.  Membership, neighbours,
+deletion, the planner's routing, the slide test and the rigidity engine all
+read it, and token sets over a component are ints over its ranks.  It and
+the other derived structure (canonical form, vertex sets, the vertex ->
+component memo) are computed on first use and stored on the frozen object
+they describe, as a `cached_property`, so they live exactly as long as that
+object.  This module keeps no module-level cache.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from functools import cached_property, total_ordering
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InputError, PathError
+from .errors import InputError
 
 _ID_RE = re.compile(r"^(?:s(\d+)|l(\d+)\.(\d+))$")
 
@@ -36,9 +39,8 @@ _ID_RE = re.compile(r"^(?:s(\d+)|l(\d+)\.(\d+))$")
 class VertexId:
     """Structural vertex identity: spine vertex s<i> or leaf l<i>.<j>.
 
-    Ordering is (spine index, spine-before-leaf... no: leaves compare after
-    their spine vertex) -- concretely (i, kind, j) with 's' < 'l'.  This is
-    only a tie-break order; the reconfiguration vertex order is
+    Ids order by (spine index, spine vertex before its leaves, leaf
+    index).  This is only a tie-break order; the routing order is
     Caterpillar._ranks (see Ranks).
     """
 
@@ -136,32 +138,18 @@ class Caterpillar:
         return hash((self.spine, self.leaves))
 
     @cached_property
-    def _positions(self) -> dict[VertexId, int]:
-        """Spine position (0-based) of every vertex; leaves map to their spine's."""
-        pos: dict[VertexId, int] = {}
-        for i, (s, ls) in enumerate(zip(self.spine, self.leaves)):
-            pos[s] = i
-            for v in ls:
-                pos[v] = i
-        return pos
-
-    @cached_property
     def _ranks(self) -> "Ranks":
         return Ranks(self)
 
-    @cached_property
-    def _adjacency(self) -> dict[VertexId, tuple[VertexId, ...]]:
-        spine = self.spine
-        adj: dict[VertexId, list[VertexId]] = {v: [] for v in self.all_vertices()}
-        for i, (s, ls) in enumerate(zip(spine, self.leaves)):
-            if i > 0:
-                adj[s].append(spine[i - 1])
-            if i + 1 < len(spine):
-                adj[s].append(spine[i + 1])
-            for v in ls:
-                adj[s].append(v)
-                adj[v].append(s)
-        return {v: tuple(ns) for v, ns in adj.items()}
+    def neighbors(self, v: VertexId) -> tuple[VertexId, ...]:
+        """Left spine neighbour, right spine neighbour, then leaves; a
+        leaf's only neighbour is its spine vertex."""
+        ranks = self._ranks
+        r = ranks.rank[v]
+        i = ranks.pos[r]
+        if ranks.spine[i] != r:
+            return (self.spine[i],)
+        return self.spine[max(i - 1, 0) : i] + self.spine[i + 1 : i + 2] + self.leaves[i]
 
     @cached_property
     def _min_vertex(self) -> VertexId:
@@ -206,9 +194,11 @@ class Ranks:
     """A component's vertices numbered in the routing order: the leaves of
     spine position i (sorted), then its spine vertex, then position i + 1.
     Position i thus holds the contiguous ranks first[i]..spine[i], its
-    leaves below its spine vertex.  Token sets over these ranks are ints
-    (`mask_of`), which the slide test (`_kpaths.slide_ok`) reads for the
-    planner, the generator and the rigidity engine."""
+    leaves below its spine vertex, and rank r is a spine vertex exactly
+    when spine[pos[r]] == r.  This is the component's only vertex table.
+    Token sets over these ranks are ints (`mask_of`), which the slide test
+    (`_kpaths.slide_ok`) reads for the planner, the generator and the
+    rigidity engine."""
 
     __slots__ = ("order", "rank", "pos", "spine", "first")
 
@@ -250,11 +240,6 @@ def _raw_forest(components: tuple[Caterpillar, ...]) -> CaterpillarForest:
     f = object.__new__(CaterpillarForest)
     object.__setattr__(f, "components", components)
     return f
-
-
-def is_leaf_vertex(comp: Caterpillar, v: VertexId) -> bool:
-    """Leaf in the structural sense (attached below a spine vertex)."""
-    return comp.spine[comp._positions[v]] != v
 
 
 @dataclass(frozen=True)
@@ -330,62 +315,22 @@ class CaterpillarForest:
         return {}
 
     def _find_component(self, v: VertexId) -> Caterpillar | None:
-        """Memoized lookup; scans component position tables so the cost
-        stays proportional to the component count, not n."""
+        """Memoized lookup; scans component rank tables so the cost stays
+        proportional to the component count, not n."""
         memo = self._vcomp
         comp = memo.get(v)
         if comp is None:
             for c in self.components:
-                if v in c._positions:
+                if v in c._ranks.rank:
                     memo[v] = c
                     return c
         return comp
 
     def adjacency(self) -> dict[VertexId, tuple[VertexId, ...]]:
-        out: dict[VertexId, tuple[VertexId, ...]] = {}
-        for c in self.components:
-            out.update(c._adjacency)
-        return out
+        return {v: c.neighbors(v) for c in self.components for v in c.all_vertices()}
 
     def neighbors(self, v: VertexId) -> tuple[VertexId, ...]:
-        return self.component_of(v)._adjacency[v]
-
-    # -- metric ------------------------------------------------------------
-
-    def dist(self, u: VertexId, v: VertexId) -> int | None:
-        """Hop distance, or None when u and v sit in different components."""
-        cu = self.component_of(u)
-        cv = self.component_of(v)
-        if cu is not cv:
-            return None
-        if u == v:
-            return 0
-        pos = cu._positions
-        d = abs(pos[u] - pos[v])
-        if is_leaf_vertex(cu, u):
-            d += 1
-        if is_leaf_vertex(cu, v):
-            d += 1
-        return d
-
-    def tree_path(self, u: VertexId, v: VertexId) -> tuple[VertexId, ...]:
-        """The unique u-v path, endpoints included."""
-        cu = self.component_of(u)
-        cv = self.component_of(v)
-        if cu is not cv:
-            raise PathError(f"{u} and {v} lie in different components")
-        if u == v:
-            return (u,)
-        pos = cu._positions
-        pu, pv = pos[u], pos[v]
-        step = 1 if pv >= pu else -1
-        path: list[VertexId] = []
-        if is_leaf_vertex(cu, u):
-            path.append(u)
-        path.extend(cu.spine[i] for i in range(pu, pv + step, step))
-        if is_leaf_vertex(cu, v):
-            path.append(v)
-        return tuple(path)
+        return self.component_of(v).neighbors(v)
 
     def longest_path_vertices(self) -> int:
         """Vertex count of a longest simple path over all components (0 on
@@ -429,12 +374,13 @@ class CaterpillarForest:
 def _delete_in_component(comp: Caterpillar, drop: frozenset[VertexId]) -> list[Caterpillar]:
     if not drop:
         return [comp]
-    pos = comp._positions
+    ranks = comp._ranks
     spine_cuts: list[int] = []
     leaf_posns: set[int] = set()
     for v in drop:
-        i = pos[v]
-        if comp.spine[i] == v:
+        r = ranks.rank[v]
+        i = ranks.pos[r]
+        if ranks.spine[i] == r:
             spine_cuts.append(i)
         else:
             leaf_posns.add(i)

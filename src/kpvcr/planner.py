@@ -15,8 +15,8 @@ routine returns, which keeps the sorted-suffix invariant that the literal
 push loop alone would lose.
 
 The routing works on the component's routing ranks (`Caterpillar._ranks`,
-the table `vertex_order` also reads): rank order is the caterpillar order,
-occupancy is an int over ranks, and every spine token's slide goes through
+its one vertex table): rank order is the caterpillar order, occupancy is
+an int over ranks, and every spine token's slide goes through
 `_kpaths.slide_ok`, the test the generator and the rigidity engine use.  A
 leaf token lifted onto its free spine vertex needs no test, because every
 k-path through a leaf passes its spine vertex.
@@ -76,28 +76,6 @@ class TsSequence:
 
     def __len__(self) -> int:
         return len(self.moves)
-
-
-@dataclass(frozen=True)
-class VertexOrder:
-    rank: dict[VertexId, int]
-
-    def key(self, v: VertexId) -> int:
-        return self.rank[v]
-
-    def sort(self, vs) -> list[VertexId]:
-        return sorted(vs, key=self.rank.__getitem__)
-
-
-def vertex_order(forest: CaterpillarForest | Caterpillar) -> VertexOrder:
-    """The routing order: leaves of s_i, then s_i, then everything at i+1.."""
-    if isinstance(forest, CaterpillarForest):
-        if len(forest.components) != 1:
-            raise InputError("vertex_order expects a single component")
-        comp = forest.components[0]
-    else:
-        comp = forest
-    return VertexOrder(comp._ranks.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -204,19 +182,19 @@ def construct_si(
     comp = forest.components[0]
     if current.k != target.k:
         raise LogicError("covers disagree on k")
-    order = vertex_order(comp)
-    xs = order.sort(current.occupied)
-    ys = order.sort(target.occupied)
+    rank = comp._ranks.rank
+    xs = sorted(current.occupied, key=rank.__getitem__)
+    ys = sorted(target.occupied, key=rank.__getitem__)
     if len(xs) != len(ys) or not (1 <= i <= len(xs)):
         raise LogicError("bad index for construct_si")
     if xs[i:] != ys[i:]:
         raise LogicError("positions after i are not aligned")
-    if order.key(xs[i - 1]) >= order.key(ys[i - 1]):
+    if rank[xs[i - 1]] >= rank[ys[i - 1]]:
         raise LogicError("construct_si requires x_i before y_i")
     if rigid_set(forest, current).rigid:
         raise LogicError("construct_si requires an empty rigid set")
     router = _Router(comp._ranks, current.k, current.occupied)
-    router.settle(order.key(ys[i - 1]), {order.key(y) for y in ys[i:]})
+    router.settle(rank[ys[i - 1]], {rank[y] for y in ys[i:]})
     return TsSequence(current, tuple(router.vertex_moves()))
 
 
@@ -448,8 +426,8 @@ def _route_unconstrained(
     """Routing when the component carries no k-path: any token set is a
     valid cover, so tokens walk freely.  Peel tree leaves one at a time,
     filling targets from the nearest token and pushing stray tokens inward."""
-    order = vertex_order(comp)
-    adj = {v: set(ns) for v, ns in comp._adjacency.items()}
+    rank = comp._ranks.rank
+    adj = {v: set(comp.neighbors(v)) for v in comp.all_vertices()}
     remaining = set(adj)
     occ = set(ic)
     targets = set(jc)
@@ -474,7 +452,7 @@ def _route_unconstrained(
     while remaining:
         w = max(
             (v for v in remaining if len(adj[v] & remaining) <= 1),
-            key=order.key,
+            key=rank.__getitem__,
         )
         if w in targets:
             if w not in occ:

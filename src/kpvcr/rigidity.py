@@ -8,29 +8,32 @@ region around u (an H-region) exists and whether any nearby movable token
 can be fed into it.
 
 The analysis recurses into subgraphs with tokens deleted, and never builds
-them.  It works on one immutable index of the canonical input forest
-(`_Index`): its canonical components, and where each vertex sits.  The
-index is memoised on the forest object.  A subproblem (`_Sub`) is the spine
-run [lo, hi] of one base component between deleted spine vertices, minus
-the few deleted leaves inside it.  Its canonical form is arithmetic: a run
-end left without leaves folds onto its neighbour as a leaf, so the spine
-proper is [a, b].  Neighbours, distances, the H-region window scan and
-anchors are all index arithmetic on that interval, and `(component, lo, hi,
-deleted leaves, u)` keys the memo in O(1).  Whether a token can slide right
-now is the shared `_kpaths.slide_ok` on the base component and the query's
-token mask: every deleted vertex is a token, so the test's arm walk stops
-where the subproblem's run ends and needs no subproblem bounds.  The feed
-test walks the endpoint greedy from the region's edge outward on the
-subproblem's own leaf counts (`cover._endpoint_pieces`, the walk `partition`
-builds its pieces from) and counts tokens per piece from prefix sums.  The
-token masks and prefix sums are the only token-dependent tables and live
-for one rigidity query.  The recursion runs on an explicit stack: `_decide`
-yields the subproblems it needs and a driver loop sends back their
-verdicts.
+them.  It works on the canonical form of each input component (the
+component's cached `_canonical`) through that form's one vertex table, its
+routing ranks (`graph.Ranks`): vertices are ranks and vertex sets are ints
+over them.  A subproblem (`_Sub`) is the spine run [lo, hi] of one
+canonical component between deleted spine vertices, minus the deleted
+leaves inside it, a rank mask.  Its canonical form is arithmetic: a run end
+left without leaves folds onto its neighbour as a leaf, so the spine proper
+is [a, b].  Neighbours, the H-region window scan and anchors are index
+arithmetic and mask tests on that interval, and `(ranks, lo, hi, deleted
+leaves, u)` keys the memo in O(1).
 
-The path classes P(G, I, u) behind the public `classify_k_paths` and
-`find_h_regions` are filtered from `_kpaths._component_paths`, the one k-path
-enumerator.
+The query's tokens on a component are one int over its ranks, built once
+per query; it is the only token-dependent table.  Whether a token can slide
+right now is the shared `_kpaths.slide_ok` on that int: every deleted
+vertex is a token, so the test's arm walk stops where the subproblem's run
+ends and needs no subproblem bounds.  The feed test walks the endpoint
+greedy from the region's edge outward on the subproblem's own leaf counts
+(`cover._endpoint_pieces`, the walk `partition` builds its pieces from) and
+counts each piece's tokens as a popcount of that int less the deleted
+leaves.  The recursion runs on an explicit stack: `_decide` yields the
+subproblems it needs and a driver loop sends back their verdicts.
+
+The public per-token helpers take vertex ids and work on a whole canonical
+component.  The path classes P(G, I, u) behind `classify_k_paths` and
+`find_h_regions` are filtered from `_kpaths._component_paths`, the one
+k-path enumerator.
 
 All entry points that answer rigidity questions require k >= 4; the feed
 test is unsound for k = 3 (a movable anchor with a non-minimum side cover
@@ -42,14 +45,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Generator, Iterator
+from typing import Callable, Generator, Iterator
 
 from ._kpaths import _component_paths, slide_ok
 # partition stays importable from here: the traced benchmark wraps
 # kpvcr.rigidity.partition by name
 from .cover import TokenSet, _endpoint_pieces, partition  # noqa: F401
 from .errors import InputError, LogicError, UnsupportedParameterError
-from .graph import Caterpillar, CaterpillarForest, VertexId
+from .graph import Caterpillar, CaterpillarForest, Ranks, VertexId
 
 KPath = tuple[VertexId, ...]
 
@@ -95,59 +98,35 @@ _4B3 = RigidDecision(True, "4b3")
 _4B4 = RigidDecision(True, "4b4")
 _MOVABLE = RigidDecision(False, "movable")
 
-_NO_LEAVES: frozenset[VertexId] = frozenset()
-
 
 # ---------------------------------------------------------------------------
-# The index and its subproblems
+# Subproblems over a component's ranks
 # ---------------------------------------------------------------------------
 
 
-class _Index:
-    """The canonical form of a forest: its components, plus each vertex's
-    (component, spine position, is a spine vertex)."""
-
-    __slots__ = ("comps", "where")
-
-    def __init__(self, forest: CaterpillarForest):
-        self.comps = [raw._canonical for raw in forest.components]
-        self.where: dict[VertexId, tuple[int, int, bool]] = {}
-        for ci, comp in enumerate(self.comps):
-            for i, (s, ls) in enumerate(zip(comp.spine, comp.leaves)):
-                self.where[s] = (ci, i, True)
-                for x in ls:
-                    self.where[x] = (ci, i, False)
-
-    def whole(self, u: VertexId) -> "_Sub":
-        """The subproblem with nothing deleted: u's whole component."""
-        got = self.where.get(u)
-        if got is None:
-            raise InputError(f"unknown vertex {u}")
-        ci = got[0]
-        return _Sub(self, ci, 0, len(self.comps[ci].spine) - 1, _NO_LEAVES)
+def _bits(x: int, lo: int, hi: int) -> int:
+    """The bits of x at ranks lo..hi - 1, shifted down to bit 0."""
+    return x >> lo & ((1 << (hi - lo)) - 1)
 
 
-def _index(forest: CaterpillarForest) -> _Index:
-    """The forest's index, built once per forest object (as `_vcomp`)."""
-    got = forest.__dict__.get("_rigidity_index")
-    if got is None:
-        got = _Index(forest)
-        object.__setattr__(forest, "_rigidity_index", got)
-    return got
+def _token_mask(ranks: Ranks, occupied: frozenset[VertexId]) -> int:
+    """The tokens on one component, as an int over its ranks."""
+    return ranks.mask_of(v for v in ranks.order if v in occupied)
 
 
 class _Sub:
-    """A subproblem: the component of the base spine run [lo, hi] of
-    component ci, minus the deleted leaves `dl` inside that run, in
-    canonical form.  Its spine proper is [a, b]; a run end without live
-    leaves (lo < a or b < hi) is a leaf of a, respectively b."""
+    """A subproblem: the component of the base spine run [lo, hi] of a
+    canonical component, minus the deleted leaves `dl` (a rank mask) inside
+    that run, in canonical form.  Its spine proper is [a, b]; a run end
+    without live leaves (lo < a or b < hi) is a leaf of a, respectively b.
+    `occ` holds the tokens on the whole component, `tok` those on the
+    subproblem's vertices."""
 
-    __slots__ = ("index", "comp", "ci", "lo", "hi", "dl", "a", "b")
+    __slots__ = ("ranks", "lo", "hi", "dl", "occ", "tok", "a", "b")
 
-    def __init__(self, index: _Index, ci: int, lo: int, hi: int, dl: frozenset[VertexId]):
-        self.index = index
-        self.comp = index.comps[ci]
-        self.ci, self.lo, self.hi, self.dl = ci, lo, hi, dl
+    def __init__(self, ranks: Ranks, lo: int, hi: int, dl: int, occ: int):
+        self.ranks, self.lo, self.hi, self.dl, self.occ = ranks, lo, hi, dl, occ
+        self.tok = occ & ~dl if dl else occ
         a, b = lo, hi
         if b > a and not self.live(a):
             a += 1
@@ -155,26 +134,38 @@ class _Sub:
             b -= 1
         self.a, self.b = a, b
 
-    def live(self, i: int) -> tuple[VertexId, ...]:
-        """Base leaves at position i that are not deleted."""
-        ls = self.comp.leaves[i]
+    @classmethod
+    def whole(cls, ranks: Ranks, occ: int) -> "_Sub":
+        """The subproblem with nothing deleted: the whole component."""
+        return cls(ranks, 0, len(ranks.spine) - 1, 0, occ)
+
+    def live(self, i: int) -> int:
+        """The number of base leaves at position i that are not deleted."""
+        first, spine = self.ranks.first[i], self.ranks.spine[i]
+        n = spine - first
+        if self.dl and n:
+            n -= _bits(self.dl, first, spine).bit_count()
+        return n
+
+    def leaves(self, i: int) -> list[int]:
+        """Leaves of spine position i (a <= i <= b), the run ends folded
+        onto it included, in vertex id order."""
+        first, spine = self.ranks.first[i], self.ranks.spine[i]
+        out = list(range(first, spine))
         if self.dl:
-            ls = tuple(x for x in ls if x not in self.dl)
-        return ls
+            dead = _bits(self.dl, first, spine)
+            out = [x for x in out if not dead >> (x - first) & 1]
+        if i == self.a > self.lo or i == self.b < self.hi:
+            ends = ((self.lo, self.a), (self.hi, self.b))
+            out += [self.ranks.spine[e] for e, p in ends if e != p == i]
+            out.sort(key=self.ranks.order.__getitem__)
+        return out
 
-    def leaves(self, i: int) -> tuple[VertexId, ...]:
-        """Leaves of spine position i (a <= i <= b), folded run ends included."""
-        ls = self.live(i)
-        if i == self.a and self.a > self.lo:
-            ls = tuple(sorted(ls + (self.comp.spine[self.lo],)))
-        if i == self.b and self.b < self.hi:
-            ls = tuple(sorted(ls + (self.comp.spine[self.hi],)))
-        return ls
-
-    def locate(self, v: VertexId) -> tuple[int, bool]:
+    def locate(self, v: int) -> tuple[int, bool]:
         """(spine position, is a leaf) of a vertex of this subproblem."""
-        _, p, on_spine = self.index.where[v]
-        if not on_spine:
+        ranks = self.ranks
+        p = ranks.pos[v]
+        if ranks.spine[p] != v:
             return p, True
         if p < self.a:
             return self.a, True
@@ -182,55 +173,62 @@ class _Sub:
             return self.b, True
         return p, False
 
-    def neighbors(self, v: VertexId) -> tuple[VertexId, ...]:
-        """Left spine, right spine, then leaves; a leaf's only neighbour is
-        its spine vertex."""
-        p, leaf = self.locate(v)
-        spine = self.comp.spine
-        if leaf:
-            return (spine[p],)
-        out: list[VertexId] = []
-        if p > self.a:
-            out.append(spine[p - 1])
-        if p < self.b:
-            out.append(spine[p + 1])
-        out.extend(self.leaves(p))
-        return tuple(out)
+    def neighbors(self, m: int) -> list[int]:
+        """Of the spine vertex at position m: left spine, right spine, then
+        leaves."""
+        spine = self.ranks.spine
+        out = []
+        if m > self.a:
+            out.append(spine[m - 1])
+        if m < self.b:
+            out.append(spine[m + 1])
+        out.extend(self.leaves(m))
+        return out
 
-    def window(self, a: int, b: int) -> frozenset[VertexId]:
-        out: list[VertexId] = []
-        for i in range(a, b + 1):
-            out.append(self.comp.spine[i])
-            out.extend(self.leaves(i))
-        return frozenset(out)
+    def span(self, i: int, j: int) -> int:
+        """The tokens on spine positions i..j, their leaves and the run ends
+        folded onto them, shifted down to bit 0 (0 when i > j)."""
+        if i > j:
+            return 0
+        ranks = self.ranks
+        if i == self.a:
+            i = self.lo
+        if j == self.b:
+            j = self.hi
+        return _bits(self.tok, ranks.first[i], ranks.spine[j] + 1)
 
-    def child(self, u: VertexId, v: VertexId) -> tuple | None:
+    def child(self, u: int, v: int) -> tuple | None:
         """Memo key of v's subproblem once u is deleted as well, or None
         when deleting u isolates v (v was a leaf of u)."""
-        where = self.index.where
-        _, pu, u_spine = where[u]
-        if not u_spine:
-            return (self.ci, self.lo, self.hi, self.dl | {u}, v)
-        pv = where[v][1]
+        ranks = self.ranks
+        pu = ranks.pos[u]
+        if ranks.spine[pu] != u:
+            return (ranks, self.lo, self.hi, self.dl | 1 << u, v)
+        pv = ranks.pos[v]
         if pv == pu:
             return None
         lo, hi = (self.lo, pu - 1) if pv < pu else (pu + 1, self.hi)
         dl = self.dl
         if dl:
-            dl = frozenset(x for x in dl if lo <= where[x][1] <= hi)
-        return (self.ci, lo, hi, dl, v)
+            dl &= (1 << (ranks.spine[hi] + 1)) - (1 << ranks.first[lo])
+        return (ranks, lo, hi, dl, v)
 
 
-def _whole_spine_vertex(forest: CaterpillarForest, tokens: TokenSet, u: VertexId) -> tuple[_Sub, int]:
-    """Shared argument checks of the public per-token helpers."""
+def _whole_spine_vertex(
+    forest: CaterpillarForest, tokens: TokenSet, u: VertexId
+) -> tuple[Caterpillar, _Sub, int]:
+    """Shared argument checks of the public per-token helpers: the
+    canonical form of u's component, that form as a subproblem, and u's
+    spine position there."""
     tokens.validate_on(forest)
-    sub = _index(forest).whole(u)
+    comp = forest.component_of(u)._canonical
     if u not in tokens:
         raise InputError(f"{u} is not occupied")
-    m, leaf = sub.locate(u)
+    sub = _Sub.whole(comp._ranks, _token_mask(comp._ranks, tokens.occupied))
+    m, leaf = sub.locate(comp._ranks.rank[u])
     if leaf:
         raise InputError(f"{u} is a leaf, not a spine vertex")
-    return sub, m
+    return comp, sub, m
 
 
 # ---------------------------------------------------------------------------
@@ -248,39 +246,39 @@ def classify_k_paths(
     vertex besides u, split by whether they run left, right, or stay on
     L[u].  `within` restricts the search to an induced subgraph (the
     H-region search evaluates candidates this way)."""
-    sub, m = _whole_spine_vertex(forest, tokens, u)
-    return _classify(sub, tokens.occupied, u, m, tokens.k, within)
+    comp, _, m = _whole_spine_vertex(forest, tokens, u)
+    return _classify(comp, tokens.occupied, u, m, tokens.k, within)
 
 
 def _classify(
-    sub: _Sub,
+    comp: Caterpillar,
     occupied: frozenset[VertexId],
     u: VertexId,
     m: int,
     k: int,
     within: frozenset[VertexId] | None = None,
 ) -> PathClassification:
-    """The component's k-paths (`_kpaths._component_paths`) that end at u
-    or at a free leaf of u and hold no token but u's.  `sub` is always a
-    whole canonical component, so its k-paths are the component's; those
-    ending at u or a leaf of u stay within k - 1 spine steps of u, so only
-    that window of the spine is enumerated."""
+    """The k-paths (`_kpaths._component_paths`) of the canonical component
+    `comp` that end at u or at a free leaf of u and hold no token but u's.
+    Those stay within k - 1 spine steps of u, so only that window of the
+    spine is enumerated."""
     if k < 3:
         raise InputError("classification requires k >= 3")
 
     def ok(v: VertexId) -> bool:
         return v == u or (v not in occupied and (within is None or v in within))
 
-    free_leaves = {x for x in sub.leaves(m) if ok(x)}
+    free_leaves = {x for x in comp.leaves[m] if ok(x)}
     ends = free_leaves | {u}
     left: list[KPath] = []
     right: list[KPath] = []
     center: list[KPath] = []
-    spine = sub.comp.spine
-    sl = spine[m - 1] if m > sub.a else None
-    sr = spine[m + 1] if m < sub.b else None
-    lo, hi = max(sub.a, m - k + 1), min(sub.b, m + k - 1)
-    near = Caterpillar(spine[lo : hi + 1], sub.comp.leaves[lo : hi + 1])
+    spine = comp.spine
+    last = len(spine) - 1
+    sl = spine[m - 1] if m > 0 else None
+    sr = spine[m + 1] if m < last else None
+    lo, hi = max(0, m - k + 1), min(last, m + k - 1)
+    near = Caterpillar(spine[lo : hi + 1], comp.leaves[lo : hi + 1])
     for p in _component_paths(near, k):
         if (p[0] in ends or p[-1] in ends) and all(ok(v) for v in p):
             p = _orient(p, u, free_leaves)
@@ -313,49 +311,49 @@ def _orient(path: KPath, u: VertexId, leaves: set[VertexId]) -> KPath:
 def find_h_regions(
     forest: CaterpillarForest, tokens: TokenSet, u: VertexId
 ) -> tuple[HRegion, ...]:
-    sub, m = _whole_spine_vertex(forest, tokens, u)
+    comp, sub, m = _whole_spine_vertex(forest, tokens, u)
     k = tokens.k
     if k < 3:
         raise InputError("H-regions require k >= 3")
+    occupied = tokens.occupied
+
+    def window(a: int, b: int) -> frozenset[VertexId]:
+        return frozenset(itertools.chain(comp.spine[a : b + 1], *comp.leaves[a : b + 1]))
+
+    def witness(a: int, b: int) -> tuple[KPath, KPath] | None:
+        return _h2_witness(_classify(comp, occupied, u, m, k, window(a, b)), u, k)
+
     out = []
-    for a, b in _find_h_regions(sub, tokens.occupied, u, m, k):
-        window = sub.window(a, b)
-        witness = _h2_witness(_classify(sub, tokens.occupied, u, m, k, window), u, k)
-        if witness is None:
+    for a, b in _find_h_regions(sub, m, k, witness if k == 3 else None):
+        paths = witness(a, b)
+        if paths is None:
             raise LogicError("H-region window without witness paths")
-        out.append(HRegion(window, witness, b - a + 1))
+        out.append(HRegion(window(a, b), paths, b - a + 1))
     return tuple(out)
 
 
+_Witness = Callable[[int, int], "tuple[KPath, KPath] | None"]
+
+
 def _check_window(
-    sub: _Sub,
-    occupied: frozenset[VertexId],
-    u: VertexId,
-    m: int,
-    k: int,
-    a: int,
-    b: int,
+    sub: _Sub, m: int, k: int, a: int, b: int, h2: _Witness | None = None
 ) -> bool:
     # (H.1): every non-u spine vertex of the window is token-free, leaves too
-    spine = sub.comp.spine
-    for i in range(a, b + 1):
-        if i == m:
-            continue
-        if spine[i] in occupied:
-            return False
-        if any(x in occupied for x in sub.leaves(i)):
-            return False
+    if sub.span(a, m - 1) or sub.span(m + 1, b):
+        return False
     # (H.2): two k-paths from u or a free leaf of u meeting only at u (or u
     # plus one shared leaf of u).  For k >= 4 no k-path stays on L[u], which
     # has 3 vertices at most, so one must run left and one right: u's free
     # arm to the window end, a leaf there and a free leaf of u in front
-    # reach k vertices on both sides.  Listing the paths instead costs 20 %
-    # more `kpvcr decide` time on the benchmark's decide-rigid set
-    if k == 3:
-        return _h2_witness(_classify(sub, occupied, u, m, k, sub.window(a, b)), u, k) is not None
-    lead = 2 if any(x not in occupied for x in sub.leaves(m)) else 1
+    # reach k vertices on both sides.  Listing the paths instead (`h2`, for
+    # k = 3) costs 20 % more `kpvcr decide` time on the benchmark's
+    # decide-rigid set
+    if h2 is not None:
+        return h2(a, b) is not None
+    lead = 2 if any(not sub.occ >> x & 1 for x in sub.leaves(m)) else 1
     return all(
-        end != m and lead + abs(end - m) + (1 if sub.leaves(end) else 0) >= k
+        end != m
+        and lead + abs(end - m) + (1 if sub.leaves(end) else 0) >= k
         for end in (a, b)
     )
 
@@ -386,7 +384,7 @@ def _h2_witness(
 
 
 def _find_h_regions(
-    sub: _Sub, occupied: frozenset[VertexId], u: VertexId, m: int, k: int
+    sub: _Sub, m: int, k: int, h2: _Witness | None = None
 ) -> tuple[tuple[int, int], ...]:
     """H-region windows (first, last spine position) around position m."""
     first, last = sub.a, sub.b
@@ -395,7 +393,7 @@ def _find_h_regions(
     limit = 2 * k - 1
 
     def probe(a: int, b: int) -> tuple[tuple[int, int], ...]:
-        return ((a, b),) if _check_window(sub, occupied, u, m, k, a, b) else ()
+        return ((a, b),) if _check_window(sub, m, k, a, b, h2) else ()
 
     region = probe(a, b)
     if region:
@@ -433,15 +431,16 @@ def anchor_set(
 ) -> frozenset[VertexId]:
     """Occupied vertices v (not u, not leaves of u) within distance k of u
     whose connecting path carries no other token."""
-    sub, m = _whole_spine_vertex(forest, tokens, u)
-    return _anchor_set(sub, tokens.occupied, m, tokens.k)
+    comp, sub, m = _whole_spine_vertex(forest, tokens, u)
+    return frozenset(comp._ranks.order[v] for v in _anchors(sub, m, tokens.k))
 
 
-def _anchor_set(
-    sub: _Sub, occupied: frozenset[VertexId], m: int, k: int
-) -> frozenset[VertexId]:
-    spine = sub.comp.spine
-    out: set[VertexId] = set()
+def _anchors(sub: _Sub, m: int, k: int) -> list[int]:
+    """The anchor set of the spine token at position m, in vertex id
+    order."""
+    spine = sub.ranks.spine
+    tok = sub.tok
+    out: list[int] = []
     for step, end in ((-1, sub.a), (1, sub.b)):
         i = m
         while i != end:
@@ -449,12 +448,12 @@ def _anchor_set(
             d = abs(i - m)
             if d > k:
                 break
-            if spine[i] in occupied:
-                out.add(spine[i])
+            if tok >> spine[i] & 1:
+                out.append(spine[i])
                 break  # anything further has an occupied interior
             if d + 1 <= k:
-                out.update(x for x in sub.leaves(i) if x in occupied)
-    return frozenset(out)
+                out.extend(x for x in sub.leaves(i) if tok >> x & 1)
+    return sorted(out, key=sub.ranks.order.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +467,9 @@ _Query = tuple | None  # a subproblem memo key, None for an isolated vertex
 class _RigidityContext:
     """Shared memo for the rigidity recursion over vertex-deleted subgraphs.
 
-    Keys are `(component, lo, hi, deleted leaves, u)`: a token's verdict
-    only depends on its own component, so anchor chains reaching the same
-    split share work.  The recursion always deletes one more token, so it
+    Keys are `(ranks, lo, hi, deleted leaves, u)`: a token's verdict only
+    depends on its own component, so anchor chains reaching the same split
+    share work.  The recursion always deletes one more token, so it
     terminates.  It runs on an explicit stack, as `is_rigid` drives the
     `_decide` generators.
     """
@@ -481,17 +480,23 @@ class _RigidityContext:
                 "rigidity analysis supports k >= 4 only (k = 3 is open)"
             )
         tokens.validate_on(forest)
-        self.index = _index(forest)
+        self.forest = forest
         self.occupied = tokens.occupied
         self.k = tokens.k
         self._memo: dict[tuple, RigidDecision] = {}
-        self._prefix: dict[int, list[int]] = {}
-        self._masks: dict[int, int] = {}
+        self._masks: dict[Ranks, int] = {}
         self._chains: dict[tuple, _CutChain] = {}
 
+    def mask(self, ranks: Ranks) -> int:
+        """The query's tokens on one canonical component."""
+        got = self._masks.get(ranks)
+        if got is None:
+            got = self._masks[ranks] = _token_mask(ranks, self.occupied)
+        return got
+
     def verdict(self, u: VertexId) -> RigidDecision:
-        ci = self.index.where[u][0]
-        return self.is_rigid((ci, 0, len(self.index.comps[ci].spine) - 1, _NO_LEAVES, u))
+        ranks = self.forest.component_of(u)._canonical._ranks
+        return self.is_rigid((ranks, 0, len(ranks.spine) - 1, 0, ranks.rank[u]))
 
     def is_rigid(self, key: tuple) -> RigidDecision:
         stack = [(key, self._decide(key))]
@@ -513,40 +518,40 @@ class _RigidityContext:
         return answer
 
     def _decide(self, key: tuple) -> Generator[_Query, RigidDecision, RigidDecision]:
-        ci, lo, hi, dl, u = key
-        sub = _Sub(self.index, ci, lo, hi, dl)
-        occ = self.occupied
+        ranks, lo, hi, dl, u = key
+        sub = _Sub(ranks, lo, hi, dl, self.mask(ranks))
+        tok = sub.tok
         k = self.k
-        nbrs = sub.neighbors(u)
-        if not nbrs:
-            return _LEMMA_1A
         m, leaf = sub.locate(u)
         if leaf:
-            nbr = nbrs[0]
-            if nbr in occ and (yield sub.child(u, nbr)).rigid:
+            nbr = ranks.spine[m]
+            if tok >> nbr & 1 and (yield sub.child(u, nbr)).rigid:
                 return _LEMMA_1B
             return _MOVABLE
+        nbrs = sub.neighbors(m)
+        if not nbrs:
+            return _LEMMA_1A
         # spine vertex: a token with an immediately valid slide is movable
         for w in nbrs:
-            if w not in occ and self.slide_ok(ci, m, w):
+            if not tok >> w & 1 and slide_ok(ranks, sub.occ, m, w, k):
                 return _MOVABLE
-        if all(v in occ for v in nbrs):
+        if all(tok >> v & 1 for v in nbrs):
             for v in nbrs:
                 if not (yield sub.child(u, v)).rigid:
                     # N(u) fully occupied forces H(G,I,u) = Ø, so (b) cannot rescue
                     return _MOVABLE
             return _4A
-        regions = _find_h_regions(sub, occ, u, m, k)
+        regions = _find_h_regions(sub, m, k)
         if not regions:
             return _MOVABLE
         if len(regions) != 1:
             raise LogicError("two H-regions with k >= 4")
         wa, wb = regions[0]
-        anchors = _anchor_set(sub, occ, m, k)
+        anchors = _anchors(sub, m, k)
         if not anchors:
             return _4B2
         movable = []
-        for v in sorted(anchors):
+        for v in anchors:
             if not (yield sub.child(u, v)).rigid:
                 movable.append(v)
         if not movable:
@@ -555,7 +560,7 @@ class _RigidityContext:
             return _4B4
         return _MOVABLE
 
-    def can_feed(self, sub: _Sub, m: int, wa: int, wb: int, v: VertexId) -> bool:
+    def can_feed(self, sub: _Sub, m: int, wa: int, wb: int, v: int) -> bool:
         """The feed test: can t_v (or a token on a leaf of v) enter the
         H-region, spine positions wa..wb around u at m, in G-u?
 
@@ -567,8 +572,9 @@ class _RigidityContext:
         count in H_v exceeds its psi.
         """
         k = self.k
-        occ = self.occupied
-        spine = sub.comp.spine
+        ranks = sub.ranks
+        spine, first = ranks.spine, ranks.first
+        occ = sub.occ
         pv, leaf = sub.locate(v)
         if wa <= pv <= wb:
             raise LogicError("anchor already inside the region")
@@ -577,7 +583,7 @@ class _RigidityContext:
         # k-path through a leaf also passes its spine neighbor); the token
         # stays at the same spine position
         moved: tuple[tuple[int, int], ...] = ()
-        if leaf and spine[pv] in occ:
+        if leaf and occ >> spine[pv] & 1:
             raise LogicError("leaf anchor with occupied spine neighbor")
         d = abs(pv - m)
         if d == k:
@@ -586,9 +592,9 @@ class _RigidityContext:
             # t_v in place and let the partition test decide whether the
             # k-path it would uncover can be pre-covered from behind
             pw = pv + (1 if m > pv else -1)
-            if spine[pw] in occ:
+            if occ >> spine[pw] & 1:
                 raise LogicError("anchor interior occupied")
-            if self.slide_ok(sub.ci, pv, spine[pw]):
+            if slide_ok(ranks, occ, pv, spine[pw], k):
                 moved = ((pv, -1), (pw, 1))
                 pv = pw
                 if wa <= pv <= wb:
@@ -607,8 +613,8 @@ class _RigidityContext:
         start = edge + step
         chain = self.chain(sub, step)
         pieces = chain.pieces(start)
-        first = next(pieces, None)
-        if first is None:
+        head = next(pieces, None)
+        if head is None:
             # H_v has no k-path; a token there can walk straight toward H
             return chain.tokens(start, end, moved) > 0
         # positional sanity check: v lies in the first piece and is not its
@@ -616,28 +622,18 @@ class _RigidityContext:
         # interior of P_uv, so skip it when one does
         if d <= k - 1:
             interior = range(min(m, pv) + 1, max(m, pv))
-            interior_clear = not any(x in occ for i in interior for x in sub.leaves(i))
-            near, far, rep = first
+            interior_clear = not any(_bits(sub.tok, first[i], spine[i]) for i in interior)
+            near, far, rep = head
             if interior_clear and (pv == rep or not min(near, far) <= pv <= max(near, far)):
                 raise LogicError("anchor not positioned in T_1 as expected")
         # pieces holding the slid token are counted here; from the first
         # piece past it on, the answer is the subproblem's own and shared
-        for near, far, _ in itertools.chain((first,), pieces):
+        for near, far, _ in itertools.chain((head,), pieces):
             if all((p - near) * step < 0 for p, _ in moved):
                 return chain.doubled_from(near)
             if chain.tokens(near, far, moved) >= 2:
                 return True
         return False
-
-    def slide_ok(self, ci: int, m: int, w: VertexId) -> bool:
-        """`_kpaths.slide_ok` on base component ci and the query's tokens
-        there; it answers for every subproblem of ci (see the module
-        docstring)."""
-        ranks = self.index.comps[ci]._ranks
-        mask = self._masks.get(ci)
-        if mask is None:
-            mask = self._masks[ci] = ranks.mask_of(v for v in ranks.order if v in self.occupied)
-        return slide_ok(ranks, mask, m, ranks.rank[w], self.k)
 
     def chain(self, sub: _Sub, step: int) -> "_CutChain":
         """The subproblem's cut chain toward its spine end in direction
@@ -649,23 +645,10 @@ class _RigidityContext:
         instead of 1,866,327, and the call takes 0.39 s instead of 4.85 s
         (Python 3.11, one CPU)."""
         far = (sub.a, sub.lo) if step < 0 else (sub.b, sub.hi)
-        key = (sub.ci, step, far, sub.dl)
+        key = (sub.ranks, step, far, sub.dl)
         got = self._chains.get(key)
         if got is None:
-            got = self._chains[key] = _CutChain(sub, step, self.k, self.prefix(sub.ci))
-        return got
-
-    def prefix(self, ci: int) -> list[int]:
-        """Tokens on base spine positions 0..i-1 of component ci, leaves
-        included."""
-        got = self._prefix.get(ci)
-        if got is None:
-            comp = self.index.comps[ci]
-            occ = self.occupied
-            got = [0]
-            for s, ls in zip(comp.spine, comp.leaves):
-                got.append(got[-1] + (s in occ) + sum(x in occ for x in ls))
-            self._prefix[ci] = got
+            got = self._chains[key] = _CutChain(sub, step, self.k)
         return got
 
 
@@ -676,17 +659,17 @@ class _CutChain:
 
     It serves starts short of the subproblem's other spine end, so only
     the far end matters: whether a run end folds in there, and the deleted
-    leaves.  Token counts come from the base prefix sums minus the deleted
-    leaves, which all carry tokens.  Pieces from a given start always form
-    the same chain, so whether one of them holds two tokens is memoised per
-    start.
+    leaves.  Token counts are popcounts of the subproblem's token mask.
+    Pieces from a given start always form the same chain, so whether one
+    of them holds two tokens is memoised per start.
     """
 
-    __slots__ = ("live", "where", "dl", "end", "raw_end", "step", "k", "prefix", "_doubled")
+    __slots__ = ("live", "first", "spine", "tok", "end", "raw_end", "step", "k", "_doubled")
 
-    def __init__(self, sub: _Sub, step: int, k: int, prefix: list[int]):
-        self.live, self.where, self.dl = sub.live, sub.index.where, sub.dl
-        self.step, self.k, self.prefix = step, k, prefix
+    def __init__(self, sub: _Sub, step: int, k: int):
+        self.live, self.tok = sub.live, sub.tok
+        self.first, self.spine = sub.ranks.first, sub.ranks.spine
+        self.step, self.k = step, k
         # the far spine end, and the run end folded onto it as a leaf (or
         # the end itself)
         self.end, self.raw_end = (sub.a, sub.lo) if step < 0 else (sub.b, sub.hi)
@@ -695,7 +678,7 @@ class _CutChain:
     def leaves(self, p: int) -> int:
         """Leaves at spine position p, the run end folded onto the far end
         included."""
-        return len(self.live(p)) + (p == self.end != self.raw_end)
+        return self.live(p) + (p == self.end != self.raw_end)
 
     def pieces(self, start: int) -> Iterator[tuple[int, int, int]]:
         """(near, far, cut) spine positions of each piece from a fresh start,
@@ -729,8 +712,7 @@ class _CutChain:
         rx, ry = x, y
         if self.end in (x, y):  # the folded run end counts with the end
             rx, ry = min(rx, self.raw_end), max(ry, self.raw_end)
-        n = self.prefix[ry + 1] - self.prefix[rx]
-        n -= sum(1 for v in self.dl if rx <= self.where[v][1] <= ry)
+        n = _bits(self.tok, self.first[rx], self.spine[ry] + 1).bit_count()
         n += sum(delta for p, delta in moved if x <= p <= y)
         return n
 
@@ -743,10 +725,11 @@ def can_feed_region(
     v: VertexId,
 ) -> bool:
     ctx = _RigidityContext(forest, tokens)
-    sub = ctx.index.whole(u)
-    m = sub.locate(u)[0]
-    window = [sub.locate(x)[0] for x in region.vertices]
-    return ctx.can_feed(sub, m, min(window), max(window), v)
+    ranks = forest.component_of(u)._canonical._ranks
+    sub = _Sub.whole(ranks, ctx.mask(ranks))
+    m = sub.locate(ranks.rank[u])[0]
+    window = [sub.locate(ranks.rank[x])[0] for x in region.vertices]
+    return ctx.can_feed(sub, m, min(window), max(window), ranks.rank[v])
 
 
 def is_rigid(forest: CaterpillarForest, tokens: TokenSet, u: VertexId) -> RigidDecision:

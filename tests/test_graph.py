@@ -1,4 +1,4 @@
-"""Graph core: distances, tree paths, longest paths, deletion, canonical form.
+"""Graph core: longest paths, deletion, canonical form, routing ranks.
 
 Non-trivial expected values are frozen from independent oracles computed on
 the explicit adjacency list (breadth-first search, exhaustive simple-path
@@ -16,7 +16,6 @@ from kpvcr import (
     Caterpillar,
     CaterpillarForest,
     InputError,
-    PathError,
     TokenSet,
     VertexId,
     partition,
@@ -29,17 +28,6 @@ from conftest import cat, caterpillars, vs, weakrefs
 
 def _adj_oracle(G: CaterpillarForest) -> dict[VertexId, set[VertexId]]:
     return {v: set(ns) for v, ns in G.adjacency().items()}
-
-
-def _bfs_dist(adj, u, v):
-    frontier, seen, d = {u}, {u}, 0
-    while frontier:
-        if v in frontier:
-            return d
-        frontier = {w for x in frontier for w in adj[x] if w not in seen}
-        seen |= frontier
-        d += 1
-    return None
 
 
 def _longest_path_oracle(adj) -> int:
@@ -64,67 +52,6 @@ def after_deletions(draw):
     G = draw(caterpillars(max_spine=5, max_leaves=3))
     drop = draw(st.sets(st.sampled_from(sorted(G.vertices))))
     return G.delete(drop)
-
-
-DIST_GRAPH = cat(5, {1: 2, 3: 3, 5: 2})
-
-
-class TestDist:
-    def test_spine_ends(self):
-        assert DIST_GRAPH.dist(VertexId.parse("s1"), VertexId.parse("s5")) == 4
-
-    def test_sibling_leaves(self):
-        assert DIST_GRAPH.dist(VertexId.parse("l3.1"), VertexId.parse("l3.2")) == 2
-
-    def test_leaf_to_leaf_across(self):
-        # breadth-first search on the adjacency list gives 6
-        assert DIST_GRAPH.dist(VertexId.parse("l1.1"), VertexId.parse("l5.2")) == 6
-
-    def test_unknown_vertex(self):
-        with pytest.raises(InputError):
-            DIST_GRAPH.dist(VertexId.parse("s9"), VertexId.parse("s1"))
-
-    def test_cross_component_absent(self):
-        G = DIST_GRAPH.delete(vs("s3", "l3.1", "l3.2", "l3.3"))
-        assert G.dist(VertexId.parse("s1"), VertexId.parse("s5")) is None
-
-    @given(caterpillars(max_spine=5))
-    @settings(deadline=None, max_examples=60)
-    def test_matches_bfs_oracle(self, G):
-        adj = _adj_oracle(G)
-        verts = sorted(G.vertices)
-        for u in verts[:6]:
-            for v in verts[:6]:
-                assert G.dist(u, v) == _bfs_dist(adj, u, v)
-
-
-class TestTreePath:
-    def test_spine_segment(self):
-        p = DIST_GRAPH.tree_path(VertexId.parse("s1"), VertexId.parse("s3"))
-        assert [str(v) for v in p] == ["s1", "s2", "s3"]
-
-    def test_leaf_enters_at_neighbor(self):
-        p = DIST_GRAPH.tree_path(VertexId.parse("l3.1"), VertexId.parse("s5"))
-        assert [str(v) for v in p] == ["l3.1", "s3", "s4", "s5"]
-
-    def test_identity(self):
-        u = VertexId.parse("l1.2")
-        assert DIST_GRAPH.tree_path(u, u) == (u,)
-
-    def test_cross_component_error(self):
-        G = cat(5, {3: 1}).delete(vs("s3", "l3.1"))
-        with pytest.raises(PathError):
-            G.tree_path(VertexId.parse("s1"), VertexId.parse("s5"))
-
-    @given(caterpillars(max_spine=5))
-    @settings(deadline=None, max_examples=60)
-    def test_dist_additive_along_path(self, G):
-        verts = sorted(G.vertices)
-        u, v = verts[0], verts[-1]
-        path = G.tree_path(u, v)
-        assert len(path) == G.dist(u, v) + 1
-        for w in path:
-            assert G.dist(u, w) + G.dist(w, v) == G.dist(u, v)
 
 
 class TestLongestPath:
@@ -220,6 +147,30 @@ class TestRanks:
         assert ranks.pos == [0, 0, 0, 1, 2, 2, 3]
         assert all(ranks.rank[v] == r for r, v in enumerate(ranks.order))
 
+    @pytest.mark.parametrize(
+        "G, order",
+        [
+            pytest.param(
+                cat(3, {1: 1, 3: 1}), "l1.1 s1 s2 l3.1 s3", id="leaves_precede_their_spine_vertex"
+            ),
+            pytest.param(cat(2, {2: 2}), "s1 l2.1 l2.2 s2", id="leafless_spine_end"),
+            # s1 carries no leaves, so the canonical form reclassifies it under
+            # s2, where it sorts with the other leaves of that column
+            pytest.param(
+                cat(2, {2: 2}).canonical(), "s1 l2.1 l2.2 s2", id="canonical_demotion_reflected"
+            ),
+            pytest.param(cat(5, {1: 1, 5: 1}), "l1.1 s1 s2 s3 s4 l5.1 s5", id="end_leaves"),
+        ],
+    )
+    def test_routing_order(self, G, order):
+        ranks = G.components[0]._ranks
+        assert " ".join(map(str, ranks.order)) == order
+        assert sorted(ranks.rank.values()) == list(range(G.n))
+        assert all(ranks.rank[v] == r for r, v in enumerate(ranks.order))
+        # sorting any subset by rank gives it in the routing order
+        some = ranks.order[::2]
+        assert sorted(reversed(some), key=ranks.rank.__getitem__) == list(some)
+
     def test_mask_of(self):
         ranks = cat(4, {1: 2, 3: 1}).components[0]._ranks
         assert ranks.mask_of(vs("l1.2", "s3")) == 0b100010
@@ -231,7 +182,7 @@ class TestRetention:
     def _use_every_table() -> list:
         G = cat(7, {3: 2, 5: 1})
         u, v = VertexId.parse("l3.1"), VertexId.parse("s7")
-        assert G.has_vertex(u) and G.dist(u, v) == 5
+        assert G.has_vertex(u) and G.component_of(v) is G.component_of(u)
         assert v in G.neighbors(VertexId.parse("s6"))
         assert G.longest_path_vertices() == 7
         cover = TokenSet(frozenset(partition(G, 4, VertexId.parse("s1")).representatives), 4)

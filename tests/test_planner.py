@@ -1,5 +1,5 @@
-"""Token-sliding layer: vertex order, reachability decision, witness
-construction and sequence validation.
+"""Token-sliding layer: reachability decision, witness construction and
+sequence validation.
 
 Reachability verdicts frozen below were confirmed against the breadth-first
 search over whole cover configurations (oracle module).
@@ -22,7 +22,6 @@ from kpvcr import (
     oracle_reachable,
     reachability_signature,
     validate_sequence,
-    vertex_order,
 )
 
 from conftest import cat, covered_instances, toks, vs
@@ -37,38 +36,6 @@ def _mv(*pairs):
 
 
 PATH5 = cat(5, {1: 1, 5: 1})
-
-
-class TestVertexOrder:
-    def test_leaves_precede_their_spine_vertex(self):
-        vo = vertex_order(cat(3, {1: 1, 3: 1}))
-        assert [str(v) for v in sorted(vo.rank, key=vo.key)] == [
-            "l1.1",
-            "s1",
-            "s2",
-            "l3.1",
-            "s3",
-        ]
-
-    def test_canonical_demotion_reflected(self):
-        # s1 carries no leaves, so it is reclassified under s2 and sorts
-        # with the other leaves of that column
-        vo = vertex_order(cat(2, {2: 2}))
-        assert [str(v) for v in sorted(vo.rank, key=vo.key)] == [
-            "s1",
-            "l2.1",
-            "l2.2",
-            "s2",
-        ]
-
-    def test_sort_uses_order(self):
-        vo = vertex_order(PATH5)
-        assert [str(v) for v in vo.sort(vs("s5", "s1", "l1.1"))] == ["l1.1", "s1", "s5"]
-
-    def test_rank_is_bijection(self):
-        vo = vertex_order(PATH5)
-        assert sorted(vo.rank.values()) == list(range(PATH5.n))
-        assert vo.key(_v("s3")) == 3
 
 
 class TestIsTsReachable:

@@ -28,14 +28,13 @@ from kpvcr import (
     partition,
     rigid_set,
 )
-from kpvcr._kpaths import PathCoverContext
+from kpvcr._kpaths import PathCoverContext, slide_ok
 from kpvcr.cover import _partition_greedy
 from kpvcr.rigidity import (
     _check_window,
     _classify,
     _CutChain,
     _h2_witness,
-    _index,
     _RigidityContext,
     _Sub,
 )
@@ -139,22 +138,27 @@ class TestFindHRegions:
             cover = set(partition(comp, k, comp.spine[rng.randrange(ell)]).representatives)
             cover |= set(rng.sample(sorted(G.vertices), rng.randint(0, 3)))
             occ = frozenset(cover)
-            sub = _index(G).whole(comp.spine[0])
+            comp = comp._canonical
+            ranks = comp._ranks
+            sub = _Sub.whole(ranks, ranks.mask_of(occ))
             for u in sorted(occ):
-                m, leaf = sub.locate(u)
+                m, leaf = sub.locate(ranks.rank[u])
                 if leaf:
                     continue
                 for a in range(max(sub.a, m - (2 * k - 2)), m + 1):
                     for b in range(m, min(sub.b, a + 2 * k - 2) + 1):
+                        window = frozenset(
+                            x for i in range(a, b + 1) for x in (comp.spine[i],) + comp.leaves[i]
+                        )
                         free = all(
                             x not in occ
                             for i in range(a, b + 1)
                             if i != m
-                            for x in (sub.comp.spine[i],) + sub.leaves(i)
+                            for x in (comp.spine[i],) + comp.leaves[i]
                         )
-                        cls = _classify(sub, occ, u, m, k, sub.window(a, b))
+                        cls = _classify(comp, occ, u, m, k, window)
                         want = free and _h2_witness(cls, u, k) is not None
-                        assert _check_window(sub, occ, u, m, k, a, b) == want
+                        assert _check_window(sub, m, k, a, b) == want
 
 
 class TestAnchorSet:
@@ -254,14 +258,16 @@ class TestSlideOk:
             paths = PathCoverContext(G, k)
             mask = paths.mask_of(occ)
             ctx = _RigidityContext(G, TokenSet(occ, k))
-            sub = _index(G).whole(VertexId("s", 1))
+            ranks = G.components[0]._canonical._ranks
+            sub = _Sub.whole(ranks, ctx.mask(ranks))
             for u in sorted(occ):
-                m, leaf = sub.locate(u)
+                m, leaf = sub.locate(ranks.rank[u])
                 if leaf:
                     continue
-                for w in sub.neighbors(u):
-                    if w not in occ:
-                        assert ctx.slide_ok(0, m, w) == paths.slide_ok(mask, u, w)
+                for w in sub.neighbors(m):
+                    if ranks.order[w] not in occ:
+                        want = paths.slide_ok(mask, u, ranks.order[w])
+                        assert slide_ok(ranks, sub.occ, m, w, k) == want
 
 
 class TestCutChain:
@@ -288,8 +294,8 @@ class TestCutChain:
         counts = {i: rng.randint(1, 3) for i in range(1, spine_len + 1) if rng.random() < prob}
         G = CaterpillarForest.from_counts(spine_len, counts)
         occupied = frozenset(v for v in sorted(G.vertices) if rng.random() < 0.3)
-        index = _index(G)
-        comp = index.comps[0]
+        comp = G.components[0]._canonical
+        ranks = comp._ranks
         ell = len(comp.spine)
         # runs ending on a leafless position fold that end in; odd seeds
         # also put tokens on both run ends
@@ -304,22 +310,20 @@ class TestCutChain:
             for x in comp.leaves[i]
             if x in occupied and rng.random() < 0.5
         )
-        sub = _Sub(index, 0, lo, hi, dl)
-        prefix = [0]
-        for s, ls in zip(comp.spine, comp.leaves):
-            prefix.append(prefix[-1] + (s in occupied) + sum(x in occupied for x in ls))
+        sub = _Sub(ranks, lo, hi, ranks.mask_of(dl), ranks.mask_of(occupied))
         tokens = occupied - dl
+
+        def leaves(i):
+            return tuple(ranks.order[x] for x in sub.leaves(i))
 
         def vertices(x, y):
             return frozenset(
-                v
-                for i in range(min(x, y), max(x, y) + 1)
-                for v in (comp.spine[i],) + sub.leaves(i)
+                v for i in range(min(x, y), max(x, y) + 1) for v in (comp.spine[i],) + leaves(i)
             )
 
         # one chain per direction, visited from shuffled starts, so the
         # memoised answers are reused across starts
-        chains = {step: _CutChain(sub, step, k, prefix) for step in (-1, 1)}
+        chains = {step: _CutChain(sub, step, k) for step in (-1, 1)}
         starts = [(i, step) for i in range(sub.a, sub.b + 1) for step in (-1, 1)]
         rng.shuffle(starts)
         for start, step in starts:
@@ -330,7 +334,7 @@ class TestCutChain:
             span = sorted((start, chain.end))
             hv = Caterpillar(
                 tuple(comp.spine[i] for i in range(span[0], span[1] + 1)),
-                tuple(sub.leaves(i) for i in range(span[0], span[1] + 1)),
+                tuple(leaves(i) for i in range(span[0], span[1] + 1)),
             )
             want = _partition_greedy(hv, k, comp.spine[chain.end])
             assert [comp.spine[c] for _, _, c in got] == list(want.representatives)
