@@ -10,15 +10,17 @@ Line-oriented grammar, `#` starts a comment, blank lines ignored:
     target s1 s3 l3.2
 
 `leaves` is optional; every other directive appears exactly once.  Both
-covers are validated on load.  An instance may have at most MAX_VERTICES
-vertices (spine plus leaves), checked before any vertex is built.  Parse
-failures carry a stable error code (syntax, unknown-vertex,
-duplicate-directive, invalid-cover, too-large) and the line.
+covers are validated on load, on the forest the parsed instance then hands
+out.  An instance may have at most MAX_VERTICES vertices (spine plus
+leaves), checked before any vertex is built.  Parse failures carry a stable
+error code (syntax, unknown-vertex, duplicate-directive, invalid-cover,
+too-large) and the line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cover import TokenSet, is_kpvc
 from .errors import InstanceFormatError
@@ -42,6 +44,12 @@ class InstanceFile:
     target: tuple[VertexId, ...]
 
     def forest(self) -> CaterpillarForest:
+        """The instance's forest, one object per instance, so the tables and
+        cached verdicts on it are shared by every caller."""
+        return self._forest
+
+    @cached_property
+    def _forest(self) -> CaterpillarForest:
         return CaterpillarForest.from_counts(self.spine, dict(self.leaves))
 
     def start_tokens(self) -> TokenSet:
@@ -127,36 +135,36 @@ def parse_instance(text: str) -> InstanceFile:
             "too-large",
             directives[where][1],
         )
-    forest = CaterpillarForest.from_counts(spine, leaves)
 
-    def cover(name: str) -> tuple[VertexId, ...]:
-        args, lineno = directives[name]
-        out: list[VertexId] = []
-        for token in args:
+    def ids(name: str) -> list[tuple[str, VertexId]]:
+        out = []
+        for token in directives[name][0]:
             try:
-                v = VertexId.parse(token)
+                out.append((token, VertexId.parse(token)))
             except Exception:
-                raise _fail(f"bad vertex id {token!r}", "syntax", lineno) from None
-            if not forest.has_vertex(v):
-                raise _fail(f"unknown vertex {token}", "unknown-vertex", lineno)
-            out.append(v)
-        if len(set(out)) != len(out):
-            raise _fail(f"duplicate vertex in {name!r}", "invalid-cover", lineno)
-        if not is_kpvc(forest, TokenSet(frozenset(out), k)):
-            raise _fail(
-                f"{name!r} is not a valid {k}-path vertex cover",
-                "invalid-cover",
-                lineno,
-            )
-        return tuple(sorted(out))
+                raise _fail(f"bad vertex id {token!r}", "syntax", directives[name][1]) from None
+        return out
 
-    return InstanceFile(
+    start, target = ids("start"), ids("target")
+    inst = InstanceFile(
         k=k,
         spine=spine,
         leaves=tuple(sorted(leaves.items())),
-        start=cover("start"),
-        target=cover("target"),
+        start=tuple(sorted(v for _, v in start)),
+        target=tuple(sorted(v for _, v in target)),
     )
+    forest = inst.forest()
+    for name, parsed in (("start", start), ("target", target)):
+        lineno = directives[name][1]
+        for token, v in parsed:
+            if not forest.has_vertex(v):
+                raise _fail(f"unknown vertex {token}", "unknown-vertex", lineno)
+        occ = frozenset(v for _, v in parsed)
+        if len(occ) != len(parsed):
+            raise _fail(f"duplicate vertex in {name!r}", "invalid-cover", lineno)
+        if not is_kpvc(forest, TokenSet(occ, k)):
+            raise _fail(f"{name!r} is not a valid {k}-path vertex cover", "invalid-cover", lineno)
+    return inst
 
 
 def _is_int(s: str) -> bool:

@@ -3,6 +3,7 @@
 import pytest
 
 from kpvcr import (
+    CaterpillarForest,
     InstanceFile,
     InstanceFormatError,
     VertexId,
@@ -80,6 +81,21 @@ class TestParseInstance:
         with pytest.raises(InstanceFormatError) as ei:
             parse_instance("kpvcr 1\nflavor 2\n")
         assert ei.value.code == "syntax" and ei.value.line == 2
+
+    def test_forest_built_once(self, monkeypatch):
+        # the covers are validated on the forest the instance hands out, so
+        # the parser and every later caller share one forest and its caches
+        built = []
+        real = CaterpillarForest.from_counts
+
+        def record(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr("kpvcr.instance.CaterpillarForest.from_counts", record)
+        inst = parse_instance(SAMPLE)
+        assert inst.forest() is inst.forest() is built[0]
+        assert len(built) == 1
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# top\n\nkpvcr 1\nk 4  # inline\nspine 3\nstart s2\ntarget s2\n"
