@@ -38,6 +38,23 @@ def _mv(*pairs):
 PATH5 = cat(5, {1: 1, 5: 1})
 
 
+class TestVertexOrder:
+    """The planner sorts tokens by the component's routing ranks."""
+
+    def test_sort_uses_order(self):
+        rank = PATH5.components[0]._ranks.rank
+        assert [str(v) for v in sorted(vs("s5", "s1", "l1.1"), key=rank.__getitem__)] == [
+            "l1.1",
+            "s1",
+            "s5",
+        ]
+
+    def test_rank_is_bijection(self):
+        rank = PATH5.components[0]._ranks.rank
+        assert sorted(rank.values()) == list(range(PATH5.n))
+        assert rank[_v("s3")] == 3
+
+
 class TestIsTsReachable:
     def test_simple_slide(self):
         assert is_ts_reachable(PATH5, toks(4, "s2", "s4"), toks(4, "s2", "s5"))
