@@ -4,12 +4,10 @@ is_kpvc goes through induced deletion plus a longest-path computation, on
 purpose: the test suite cross-checks it against exhaustive path enumeration,
 so the two routes must stay independent.
 
-is_kpvc memoises its verdicts in a module-level cache keyed by (forest,
-tokens, k), because validate_sequence meets the same covers again across
-the witnesses of one forest.  That cache keeps every forest it has seen
-alive for the life of the process.  The structural tables that partition
-and is_kpvc read (routing ranks, canonical forms) live on the graph objects
-themselves and die with them (see graph).
+is_kpvc memoises its verdicts on the forest (`CaterpillarForest._memo`),
+keyed by the exact cover and k: validate_sequence meets the same covers
+again across the witnesses of one forest.  A cover is validated only on a
+miss, so an entry exists only for a cover validated on that forest.
 
 partition implements the greedy decomposition into properly rooted subtrees:
 repeatedly take the deepest vertex v (ties by smallest id) whose subtree
@@ -26,7 +24,6 @@ rigidity engine's feed test walks the same generator on its subproblems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -74,16 +71,13 @@ class PartitionResult:
 
 def is_kpvc(forest: CaterpillarForest, tokens: TokenSet) -> bool:
     """True iff removing the occupied vertices leaves no k-vertex path."""
-    tokens.validate_on(forest)
-    return _is_kpvc(forest, tokens.occupied, tokens.k)
-
-
-@lru_cache(maxsize=None)
-def _is_kpvc(forest: CaterpillarForest, occupied: frozenset[VertexId], k: int) -> bool:
-    rest = forest.delete(occupied)
-    if not rest.components:
-        return True
-    return rest.longest_path_vertices() < k
+    key = ("kpvc", tokens.occupied, tokens.k)
+    verdict = forest._memo.get(key)
+    if verdict is None:
+        tokens.validate_on(forest)
+        rest = forest.delete(tokens.occupied)
+        verdict = forest._memo[key] = rest.longest_path_vertices() < tokens.k
+    return verdict
 
 
 def partition(

@@ -16,9 +16,9 @@ routing order, with each rank's spine position.  Membership, neighbours,
 deletion, the planner's routing, the slide test and the rigidity engine all
 read it, and token sets over a component are ints over its ranks.  It and
 the other derived structure (canonical form, vertex sets, the vertex ->
-component memo) are computed on first use and stored on the frozen object
-they describe, as a `cached_property`, so they live exactly as long as that
-object.  This module keeps no module-level cache.
+component memo, the memo of cover verdicts) are computed on first use and
+stored on the frozen object they describe, as a `cached_property`, so they
+live exactly as long as that object.  No module keeps a module-level cache.
 """
 
 from __future__ import annotations
@@ -314,6 +314,13 @@ class CaterpillarForest:
         """Vertex -> component, filled in by _find_component."""
         return {}
 
+    @cached_property
+    def _memo(self) -> dict[tuple, object]:
+        """Verdicts about covers of this forest, keyed by (kind, cover, k):
+        `cover.is_kpvc`'s and the planner's signatures.  Values never hold
+        the forest, which would make a cycle."""
+        return {}
+
     def _find_component(self, v: VertexId) -> Caterpillar | None:
         """Memoized lookup; scans component rank tables so the cost stays
         proportional to the component count, not n."""
@@ -344,8 +351,11 @@ class CaterpillarForest:
 
         No edges are invented: leaves whose spine vertex is deleted become
         singleton components, and a spine splits into maximal surviving runs.
+        Deleting nothing returns the forest itself, memo included.
         """
         dropset = frozenset(drop)
+        if not dropset:
+            return self
         # group drops per component; untouched components are reused as-is
         local: dict[int, set[VertexId]] = {}
         for v in dropset:

@@ -44,8 +44,8 @@ class InstanceFile:
     target: tuple[VertexId, ...]
 
     def forest(self) -> CaterpillarForest:
-        """The instance's forest, one object per instance, so the tables and
-        cached verdicts on it are shared by every caller."""
+        """The instance's forest, one object per instance: every caller shares
+        its tables and verdict memo, which die with the instance."""
         return self._forest
 
     @cached_property

@@ -4,7 +4,8 @@ Everything here is deliberately independent of the polynomial machinery:
 cover validity is checked against exhaustively enumerated k-paths, and
 reachability/rigidity come from BFS over the reconfiguration graph.  Covers
 are packed into bitmasks so the BFS stays affordable on the enumeration
-family.  The state cap raises a resource error instead of truncating.
+family.  The state cap raises a resource error instead of truncating; a
+cap below 1 is an input error.
 """
 
 from __future__ import annotations
@@ -81,6 +82,12 @@ def _reachable_masks(
     return seen
 
 
+def _context(forest: CaterpillarForest, k: int, max_states: int) -> PathCoverContext:
+    if max_states < 1:
+        raise InputError(f"max_states must be >= 1, got {max_states}")
+    return PathCoverContext(forest, k)
+
+
 def _checked_mask(
     forest: CaterpillarForest, ctx: PathCoverContext, tokens: TokenSet
 ) -> int:
@@ -101,7 +108,7 @@ def oracle_reachable(
         raise InputError("covers disagree on k")
     if len(I) != len(J):
         raise InputError("oracle_reachable expects equal-size covers")
-    ctx = PathCoverContext(forest, I.k)
+    ctx = _context(forest, I.k, max_states)
     a = _checked_mask(forest, ctx, I)
     b = _checked_mask(forest, ctx, J)
     if a == b:
@@ -115,7 +122,7 @@ def oracle_reachable_covers(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> set[frozenset[VertexId]]:
     """Every cover reachable from I, as frozen vertex sets."""
-    ctx = PathCoverContext(forest, I.k)
+    ctx = _context(forest, I.k, max_states)
     a = _checked_mask(forest, ctx, I)
     return {ctx.vertices_of(m) for m in _reachable_masks(ctx, a, max_states)}
 
@@ -126,7 +133,7 @@ def oracle_rigid_set(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> frozenset[VertexId]:
     """Vertices of I present in every reachable cover."""
-    ctx = PathCoverContext(forest, I.k)
+    ctx = _context(forest, I.k, max_states)
     a = _checked_mask(forest, ctx, I)
     common = a
     for mask in _reachable_masks(ctx, a, max_states):
@@ -143,7 +150,7 @@ def reachability_classes(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> list[set[frozenset[VertexId]]]:
     """Partition of all size-`size` covers into mutual-reachability classes."""
-    ctx = PathCoverContext(forest, k)
+    ctx = _context(forest, k, max_states)
     todo = set(_cover_masks(ctx, size))
     classes = []
     while todo:

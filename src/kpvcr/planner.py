@@ -28,7 +28,6 @@ any matched target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from ._kpaths import slide_ok
@@ -95,37 +94,19 @@ def reachability_signature(
     return _signature(forest, I.occupied, I.k)
 
 
-@lru_cache(maxsize=None)
 def _signature(
     forest: CaterpillarForest, occupied: frozenset[VertexId], k: int
 ) -> tuple[int, frozenset[VertexId], frozenset[tuple[frozenset[VertexId], int]]]:
-    rigid = _rigid_cached(forest, occupied, k)
-    rest = _delete_cached(forest, rigid)
-    comps = frozenset(
-        (verts, len(occupied & verts))
-        for verts in (frozenset(c.all_vertices()) for c in rest.components)
-    )
-    return (len(occupied), rigid, comps)
-
-
-# Shared by _signature and build_sequence's reduced-cover check: on
-# bench/sweep.py (seed 5) 8,158 of the check's 14,183 hits land on entries
-# that signatures of other forests made, small-family forests equal to a
-# G - R component.  A cache of the check's own cost 17-35 % of the sweep's
-# witness time and 13 MB of peak RSS; reading it from _signature, 7 % and 3 MB.
-@lru_cache(maxsize=None)
-def _rigid_cached(
-    forest: CaterpillarForest, occupied: frozenset[VertexId], k: int
-) -> frozenset[VertexId]:
-    return rigid_set(forest, TokenSet(occupied, k)).rigid
-
-
-# 44,012 hits, 408 misses there: build_sequence re-asks its signature's G - R
-@lru_cache(maxsize=None)
-def _delete_cached(
-    forest: CaterpillarForest, drop: frozenset[VertexId]
-) -> CaterpillarForest:
-    return forest.delete(drop)
+    key = ("signature", occupied, k)
+    sig = forest._memo.get(key)
+    if sig is None:
+        rigid = rigid_set(forest, TokenSet(occupied, k)).rigid
+        comps = frozenset(
+            (verts, len(occupied & verts))
+            for verts in (frozenset(c.all_vertices()) for c in forest.delete(rigid).components)
+        )
+        sig = forest._memo[key] = (len(occupied), rigid, comps)
+    return sig
 
 
 def is_ts_reachable(forest: CaterpillarForest, I: TokenSet, J: TokenSet) -> bool:
@@ -150,21 +131,19 @@ def is_ts_reachable(forest: CaterpillarForest, I: TokenSet, J: TokenSet) -> bool
 def build_sequence(forest: CaterpillarForest, I: TokenSet, J: TokenSet) -> TsSequence:
     if not is_ts_reachable(forest, I, J):
         raise LogicError("witness requested for a NO instance")
-    rigid = _signature(forest, I.occupied, I.k)[1]
-    rest = _delete_cached(forest, rigid).canonical()
+    rest = forest.delete(_signature(forest, I.occupied, I.k)[1])
     moves: list[Move] = []
-    for comp in rest.components:
+    for comp in rest.canonical().components:
         verts = frozenset(comp.all_vertices())
         ic = I.occupied & verts
         jc = J.occupied & verts
         if ic == jc:
             continue
-        sub = CaterpillarForest.single(comp)
         # one fixpoint step: the reduced covers must carry no rigid tokens
         for cov in (ic, jc):
-            if _rigid_cached(sub, cov, I.k):
+            if _signature(rest, cov, I.k)[1]:
                 raise LogicError("rigid token survived the reduction")
-        if sub.longest_path_vertices() < I.k:
+        if comp.longest_path_vertices() < I.k:
             moves.extend(_route_unconstrained(comp, ic, jc))
         else:
             moves.extend(_plan_component(comp, ic, jc, I.k))

@@ -409,9 +409,9 @@ def test_criterion_7_complexity_envelope():
     """rigid_set log-log slope over n in {500, 1000, 2000, 4000} stays under
     3.3, and a full decide on an n >= 5000 instance finishes within 60 s.
 
-    Measured in a fresh interpreter: the other criteria leave millions of
-    cached small-graph entries behind, and the resulting allocator and GC
-    pressure would bill unrelated work to this timing.
+    Measured in a fresh interpreter, so that the heap, allocator and GC
+    state the other criteria leave behind bill no unrelated work to this
+    timing.
     """
     proc = subprocess.run(
         [sys.executable, "-c", _BENCH_SCRIPT],

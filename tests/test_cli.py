@@ -151,6 +151,12 @@ class TestOracle:
         assert main(["oracle", yes_file, "--max-states", "1"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_state_cap_below_one_is_input_error(self, yes_file, capsys, cap):
+        # start differs from target, so a search would otherwise run
+        assert main(["oracle", yes_file, "--max-states", cap]) == 2
+        assert "max_states must be >= 1" in capsys.readouterr().err
+
 
 class TestGen:
     def test_deterministic_and_parsable(self, capsys):

@@ -18,12 +18,17 @@ from kpvcr import (
     InputError,
     TokenSet,
     VertexId,
+    build_sequence,
+    is_kpvc,
+    is_ts_reachable,
     partition,
+    reachability_signature,
     rigid_set,
+    validate_sequence,
 )
 from kpvcr._kpaths import PathCoverContext
 
-from conftest import cat, caterpillars, vs, weakrefs
+from conftest import cat, caterpillars, covered_instances, toks, vs, weakrefs
 
 
 def _adj_oracle(G: CaterpillarForest) -> dict[VertexId, set[VertexId]]:
@@ -89,6 +94,8 @@ class TestDelete:
     def test_delete_nothing(self):
         G = cat(4, {2: 2})
         assert G.delete(frozenset()).vertices == G.vertices
+        # the forest itself, so its memo of cover verdicts is shared too
+        assert G.delete(()) is G and G.delete(frozenset()) is G
 
     def test_orphaned_leaf_becomes_singleton(self):
         # induced-subgraph semantics: dropping s5 leaves l5.1 isolated,
@@ -216,6 +223,58 @@ class TestRetention:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_verdict_memo_dies_with_forest(self):
+        # the verdict memo lives on the forest: after decide, witness (with
+        # and without a rigid set) and check, nothing else holds the forest
+        G = cat(6, {1: 1, 2: 1, 3: 1, 6: 1})
+        refs = weakrefs(G)
+        slack = (toks(4, "s1", "s2", "s4"), toks(4, "l2.1", "s3", "l6.1"))
+        stuck = (toks(4, "s2", "s4"), toks(4, "s2", "s5"))
+        assert is_kpvc(G, slack[0]) and reachability_signature(G, stuck[0])[1]
+        assert not reachability_signature(G, slack[0])[1]
+        for I, J in (slack, stuck):
+            assert is_ts_reachable(G, I, J)
+            seq = build_sequence(G, I, J)
+            assert len(seq) and validate_sequence(G, 4, seq)
+        gc.collect()
+        gc.disable()
+        try:
+            del G
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
+
+class TestVerdictMemo:
+    def test_unknown_vertex_raises_every_time(self):
+        G = cat(3)
+        for _ in range(3):
+            with pytest.raises(InputError):
+                is_kpvc(G, toks(4, "s1", "s9"))
+
+    @given(covered_instances(ks=(4,)))
+    @settings(deadline=None, max_examples=60)
+    def test_verdicts_depend_on_k(self, inst):
+        # a 4-path cover also covers every 5-path; its one-token-short
+        # subsets may cover only the 5-paths, so a memo that ignored k
+        # would hand the k = 4 answer to k = 5
+        G, _, cover = inst
+        (comp,) = G.components
+
+        def fresh() -> CaterpillarForest:
+            return cat(len(comp.spine), {i + 1: len(ls) for i, ls in enumerate(comp.leaves)})
+
+        sets = [cover.occupied] + [cover.occupied - {v} for v in cover.occupied]
+        for occ in sets:
+            for k in (4, 5):
+                tokens = TokenSet(occ, k)
+                want = is_kpvc(fresh(), tokens)
+                assert is_kpvc(G, tokens) == want
+                if want:
+                    assert reachability_signature(G, tokens) == reachability_signature(
+                        fresh(), tokens
+                    )
 
 
 class TestVertexId:

@@ -86,6 +86,22 @@ class TestOracleReachable:
             )
 
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_state_cap_below_one_is_input_error(self, cap):
+        # refused before any search, even where no search would run
+        I, J = toks(4, "s2", "s4"), toks(4, "l1.1", "s3")
+        calls = [
+            lambda: oracle_reachable(PATH5, I, J, max_states=cap),
+            lambda: oracle_reachable(PATH5, I, I, max_states=cap),
+            lambda: oracle_reachable_covers(PATH5, I, max_states=cap),
+            lambda: oracle_rigid_set(PATH5, I, max_states=cap),
+            lambda: reachability_classes(PATH5, 4, 2, max_states=cap),
+        ]
+        for call in calls:
+            with pytest.raises(InputError, match="max_states"):
+                call()
+
+
 class TestOracleReachableCovers:
     def test_rigid_singleton_class(self):
         assert oracle_reachable_covers(PATH5, toks(4, "s3")) == {vs("s3")}
