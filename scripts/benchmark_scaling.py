@@ -1,8 +1,14 @@
 #!/usr/bin/env python3
-"""Benchmark rigid_set scaling and the full decision on random caterpillars.
+"""Benchmark rigid_set scaling, witness validation on the slack path, and
+the full decision on random caterpillars.
 
-Prints one line per size with the measured wall time, then the fitted
-log-log slope; optionally times a single end-to-end decide.
+For each size, prints rigid_set's wall time on a random caterpillar's
+minimum cover, then the fitted log-log slope.  Then, for each size, builds
+the slack path's witness and times validate_sequence on it, and prints
+that slope against n + moves.  The slack path is a bare path with k = 4:
+its left-rooted minimum cover plus the leftmost free vertex, against the
+right-rooted one plus the rightmost free vertex.  Optionally times a
+single end-to-end decide.
 
 Example:
     python3 scripts/benchmark_scaling.py --sizes 500 1000 2000 4000 --decide 5000
@@ -15,7 +21,15 @@ import math
 import random
 import time
 
-from kpvcr import CaterpillarForest, TokenSet, is_ts_reachable, partition, rigid_set
+from kpvcr import (
+    CaterpillarForest,
+    TokenSet,
+    build_sequence,
+    is_ts_reachable,
+    partition,
+    rigid_set,
+    validate_sequence,
+)
 
 
 def random_caterpillar(spine: int, seed: int, prob: float) -> CaterpillarForest:
@@ -33,6 +47,28 @@ def graph_with_n(target: int, seed: int, prob: float) -> CaterpillarForest:
         spine += max(1, (target - G.n) * 2 // 5)
         G = random_caterpillar(spine, seed, prob)
     return G
+
+
+def slack_path(n: int, k: int = 4) -> tuple[CaterpillarForest, TokenSet, TokenSet]:
+    """A bare path of n vertices with its left-rooted minimum cover plus the
+    leftmost free vertex, and the right-rooted one plus the rightmost."""
+    G = CaterpillarForest.from_counts(n)
+    comp = G.components[0]
+    left = set(partition(comp, k, comp.spine[0]).representatives)
+    right = set(partition(comp, k, comp.spine[-1]).representatives)
+    left.add(next(v for v in comp.spine if v not in left))
+    right.add(next(v for v in reversed(comp.spine) if v not in right))
+    return G, TokenSet.of(k, left), TokenSet.of(k, right)
+
+
+def fitted_slope(points: list[tuple[int, float]]) -> float:
+    """Least-squares slope of log(time) against log(size)."""
+    xs = [math.log(n) for n, _ in points]
+    ys = [math.log(max(t, 1e-9)) for _, t in points]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum(
+        (x - mx) ** 2 for x in xs
+    )
 
 
 def main() -> int:
@@ -58,13 +94,30 @@ def main() -> int:
               f"rigid_set {dt:8.2f}s")
 
     if len(points) >= 2:
-        xs = [math.log(n) for n, _ in points]
-        ys = [math.log(max(t, 1e-9)) for _, t in points]
-        mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-        slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum(
-            (x - mx) ** 2 for x in xs
-        )
-        print(f"log-log slope: {slope:.2f}")
+        print(f"log-log slope: {fitted_slope(points):.2f}")
+
+    points = []
+    for n in args.sizes:
+        G, I, J = slack_path(n)
+        t0 = time.perf_counter()
+        seq = build_sequence(G, I, J)
+        build_s = time.perf_counter() - t0
+        # best of three, each on a fresh forest, so that no verdict the
+        # build memoised is reused
+        dt = math.inf
+        for _ in range(3):
+            fresh = slack_path(n)[0]
+            t0 = time.perf_counter()
+            ok = validate_sequence(fresh, 4, seq)
+            dt = min(dt, time.perf_counter() - t0)
+        if not (ok and seq.end.occupied == J.occupied):
+            print(f"slack path n={n}: witness INVALID")
+            return 1
+        points.append((n + len(seq), dt))
+        print(f"slack path n={n:6d} moves={len(seq):6d} build_sequence {build_s:8.2f}s "
+              f"validate_sequence {dt:8.3f}s")
+    if len(points) >= 2:
+        print(f"validate_sequence log-log slope in n + moves: {fitted_slope(points):.2f}")
 
     if args.decide:
         G = graph_with_n(args.decide, args.seed, args.leaf_prob)

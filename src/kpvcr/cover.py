@@ -5,8 +5,8 @@ purpose: the test suite cross-checks it against exhaustive path enumeration,
 so the two routes must stay independent.
 
 is_kpvc memoises its verdicts on the forest (`CaterpillarForest._memo`),
-keyed by the exact cover and k: validate_sequence meets the same covers
-again across the witnesses of one forest.  A cover is validated only on a
+keyed by the exact cover and k: the signatures, witnesses and checks of a
+forest meet the same start covers again.  A cover is validated only on a
 miss, so an entry exists only for a cover validated on that forest.
 
 partition implements the greedy decomposition into properly rooted subtrees:

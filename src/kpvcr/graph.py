@@ -182,12 +182,20 @@ class Caterpillar:
         return _raw_component(spine, leaves)
 
     def longest_path_vertices(self) -> int:
-        """Vertex count of a longest simple path.  Every vertex off the
-        spine is a leaf, so a longest path runs the whole spine plus one
-        leaf at each spine end that has one; a one-vertex spine is a star."""
-        if len(self.spine) == 1:
-            return 1 + min(2, len(self.leaves[0]))
-        return len(self.spine) + bool(self.leaves[0]) + bool(self.leaves[-1])
+        """Vertex count of a longest simple path (see `longest_path`)."""
+        return longest_path(len(self.spine), len(self.leaves[0]), len(self.leaves[-1]))
+
+
+def longest_path(run: int, first: int, last: int) -> int:
+    """Vertex count of a longest simple path in a caterpillar whose spine
+    has `run` positions, with `first` leaves at its first position and
+    `last` at its last (one position, counted twice, when run == 1).  Every
+    vertex off the spine is a leaf, so a longest path runs the whole spine
+    plus one leaf at each spine end that has one; a one-vertex spine is a
+    star."""
+    if run == 1:
+        return 1 + min(2, first)
+    return run + bool(first) + bool(last)
 
 
 class Ranks:
@@ -317,8 +325,8 @@ class CaterpillarForest:
     @cached_property
     def _memo(self) -> dict[tuple, object]:
         """Verdicts about covers of this forest, keyed by (kind, cover, k):
-        `cover.is_kpvc`'s and the planner's signatures.  Values never hold
-        the forest, which would make a cycle."""
+        the planner's signatures and `cover.is_kpvc`'s verdicts on start
+        covers.  Values never hold the forest, which would make a cycle."""
         return {}
 
     def _find_component(self, v: VertexId) -> Caterpillar | None:

@@ -5,6 +5,8 @@ Reachability verdicts frozen below were confirmed against the breadth-first
 search over whole cover configurations (oracle module).
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,11 +17,14 @@ from kpvcr import (
     TokenSet,
     TsSequence,
     UnsupportedParameterError,
+    S,
     VertexId,
     build_sequence,
     construct_si,
+    is_kpvc,
     is_ts_reachable,
     oracle_reachable,
+    partition,
     reachability_signature,
     validate_sequence,
 )
@@ -104,7 +109,8 @@ class TestTsSequence:
     def test_states_and_end(self):
         seq = build_sequence(PATH5, toks(4, "s2", "s4"), toks(4, "s2", "s5"))
         assert seq.moves == _mv(("s2", "s3"), ("s4", "s5"), ("s3", "s2"))
-        assert [sorted(map(str, s)) for s in seq.states()] == [
+        prefixes = (TsSequence(seq.start, seq.moves[:i]) for i in range(len(seq) + 1))
+        assert [sorted(map(str, p.end.occupied)) for p in prefixes] == [
             ["s2", "s4"],
             ["s3", "s4"],
             ["s3", "s5"],
@@ -162,6 +168,173 @@ class TestValidateSequence:
     def test_empty_sequence_on_valid_cover(self):
         ok = TsSequence(toks(4, "s3"), ())
         assert validate_sequence(PATH5, 4, ok)
+
+
+def _validate_reference(forest, k, seq):
+    """validate_sequence as a whole-forest `is_kpvc` on every state."""
+    try:
+        if seq.start.k != k:
+            return False
+        occ = set(seq.start.occupied)
+        if not is_kpvc(forest, TokenSet(frozenset(occ), k)):
+            return False
+        for frm, to in seq.moves:
+            if frm not in occ or to in occ:
+                return False
+            if to not in forest.neighbors(frm):
+                return False
+            occ.discard(frm)
+            occ.add(to)
+            if not is_kpvc(forest, TokenSet(frozenset(occ), k)):
+                return False
+        return True
+    except InputError:
+        return False
+
+
+_BAD_MOVES = ("non-adjacent", "leaf-leaf", "across", "from-free", "onto-occupied", "unknown")
+
+
+def _random_forest(rng):
+    """A caterpillar with spine <= 7 and <= 3 leaves per vertex (half the
+    spine vertices bare), or half the time that caterpillar with one
+    vertex deleted."""
+    spine = rng.randint(1, 7)
+    G = cat(spine, {i: rng.randint(1, 3) for i in range(1, spine + 1) if rng.random() < 0.5})
+    if spine > 1 and rng.random() < 0.5:
+        G = G.delete([rng.choice(sorted(G.vertices))])
+    return G
+
+
+def _random_cover(rng, G, k):
+    """A random cover, pruned to a minimal one half the time: tight covers
+    leave free runs one short of a k-path, which one slide can complete."""
+    verts = sorted(G.vertices)
+    rng.shuffle(verts)
+    occ = set(verts[: rng.randint(0, len(verts))])
+    for v in verts:
+        if G.delete(occ).longest_path_vertices() < k:
+            break
+        occ.add(v)
+    if rng.random() < 0.5:
+        for v in verts:
+            if v in occ and G.delete(occ - {v}).longest_path_vertices() < k:
+                occ.discard(v)
+    return occ
+
+
+def _random_move(rng, G, k, occ, kinds):
+    """One move on occ: mostly a slide from an occupied vertex onto a free
+    neighbour (three times in four one that keeps the cover), else a bad
+    move of a random kind, counted in `kinds` when one exists."""
+    verts = sorted(G.vertices)
+    free = [v for v in verts if v not in occ]
+    slides = [(v, w) for v in sorted(occ) for w in G.neighbors(v) if w not in occ]
+    if slides and rng.random() < 0.85:
+        keep = [
+            (v, w) for v, w in slides if G.delete(occ - {v} | {w}).longest_path_vertices() < k
+        ]
+        return rng.choice(keep if keep and rng.random() < 0.75 else slides)
+    kind = rng.choice(_BAD_MOVES)
+    if kind == "unknown":
+        kinds[kind] += 1
+        pair = (rng.choice(sorted(occ)) if occ else verts[0], rng.choice([_v("s99"), _v("l1.9")]))
+        return pair[::-1] if rng.random() < 0.5 else pair
+    if kind == "non-adjacent":
+        pairs = [(v, w) for v in occ for w in free if w not in G.neighbors(v)]
+    elif kind == "leaf-leaf":
+        pairs = [
+            (v, w) for v in occ for w in free
+            if v.kind == w.kind == "l" and v.spine_index == w.spine_index
+        ]
+    elif kind == "across":
+        pairs = [(v, w) for v in occ for w in free if G.component_of(v) is not G.component_of(w)]
+    elif kind == "from-free":
+        pairs = [(v, w) for v in free for w in G.neighbors(v)]
+    else:
+        pairs = [(v, w) for v in occ for w in G.neighbors(v) if w in occ]
+    if not pairs:
+        return None
+    kinds[kind] += 1
+    return rng.choice(sorted(pairs))
+
+
+def _slack_walk(n):
+    """The slack path: a bare path of n vertices with k = 4, its
+    left-rooted minimum cover plus the leftmost free vertex, and a witness
+    walking that slack token to the far end in about n slides.  Next to a
+    cover token t the slack token on t - 1 passes it in four slides:
+    t -> t + 1, t - 1 -> t, t + 1 -> t + 2, t + 2 -> t + 3."""
+    G = cat(n)
+    cover = partition(G, 4, S(1)).representatives
+    taken = sorted(v.spine_index for v in cover)
+    slack = s = next(i for i in range(1, n + 1) if i not in taken)
+    moves = []
+    for t in [t for t in taken if t > slack]:
+        moves += [(S(i), S(i + 1)) for i in range(s, t - 1)]
+        moves += [(S(t), S(t + 1)), (S(t - 1), S(t)), (S(t + 1), S(t + 2)), (S(t + 2), S(t + 3))]
+        s = t + 3
+    moves += [(S(i), S(i + 1)) for i in range(s, n)]
+    return G, TsSequence(TokenSet.of(4, [*cover, S(slack)]), tuple(moves))
+
+
+class TestValidateSequenceDifferential:
+    """validate_sequence against the per-state `is_kpvc` reference on
+    seeded random slide sequences: caterpillars up to spine 7 with <= 3
+    leaves, some with a vertex deleted (several components, leafless spine
+    ends), k in {4, 5, 6}, bad moves of every kind, starts that are not
+    covers and a mismatched k."""
+
+    def test_agrees_with_per_state_reference(self):
+        rng = random.Random(9)
+        verdicts = {True: 0, False: 0}
+        kinds = dict.fromkeys(_BAD_MOVES, 0)
+        for _ in range(3000):
+            G = _random_forest(rng)
+            k = rng.choice((4, 5, 6))
+            occ = _random_cover(rng, G, k)
+            if occ and rng.random() < 0.1:
+                occ.discard(rng.choice(sorted(occ)))  # often no cover any more
+            start = TokenSet(frozenset(occ), k)
+            moves = []
+            for _ in range(rng.randint(0, 8)):
+                move = _random_move(rng, G, k, occ, kinds)
+                if move is None:
+                    break
+                moves.append(move)
+                if not (G.has_vertex(move[0]) and G.has_vertex(move[1])):
+                    break
+                occ = occ - {move[0]} | {move[1]}
+            seq = TsSequence(start, tuple(moves))
+            check_k = rng.choice((4, 5, 6)) if rng.random() < 0.05 else k
+            want = _validate_reference(G, check_k, seq)
+            assert validate_sequence(G, check_k, seq) == want, (G, check_k, seq)
+            verdicts[want] += 1
+        assert min(verdicts.values()) >= 500, verdicts
+        assert min(kinds.values()) >= 20, kinds
+
+
+class TestValidateSequenceLinear:
+    def test_slack_walk_is_a_witness(self):
+        for n in range(4, 30):
+            G, seq = _slack_walk(n)
+            assert _validate_reference(G, 4, seq)
+            assert validate_sequence(cat(n), 4, seq)
+
+    def test_slack_path_checks_only_the_start(self, monkeypatch):
+        """Only the start goes through `is_kpvc`, and no later state is
+        memoised on the forest: the incremental route is the one that runs."""
+        G, seq = _slack_walk(2560)
+        calls = []
+
+        def counting(forest, tokens):
+            calls.append(tokens)
+            return is_kpvc(forest, tokens)
+
+        monkeypatch.setattr("kpvcr.planner.is_kpvc", counting)
+        assert validate_sequence(G, 4, seq)
+        assert len(seq) > 2500 and calls == [seq.start]
+        assert list(G._memo) == [("kpvc", seq.start.occupied, 4)]
 
 
 class TestBuildSequence:
