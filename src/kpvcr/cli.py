@@ -25,9 +25,9 @@ from .oracle import DEFAULT_MAX_STATES, oracle_reachable
 from .planner import TsSequence, build_sequence, is_ts_reachable, validate_sequence
 from .rigidity import rigid_set
 
-K3_MESSAGE = (
-    "k = 3 is not supported: deciding reachability for 3-path vertex "
-    "covers on caterpillars is an open problem"
+K3_REASON = (
+    "deciding reachability for 3-path vertex covers on caterpillars is an "
+    "open problem"
 )
 
 
@@ -37,7 +37,8 @@ def _load(path: str) -> InstanceFile:
 
 def _require_k4(instance: InstanceFile) -> None:
     if instance.k <= 3:
-        raise UnsupportedParameterError(K3_MESSAGE)
+        reason = K3_REASON if instance.k == 3 else "reachability is decided for k >= 4"
+        raise UnsupportedParameterError(f"k = {instance.k} is not supported: {reason}")
 
 
 def _emit(text: str, out: str | None) -> None:

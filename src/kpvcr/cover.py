@@ -28,7 +28,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import InputError
-from .graph import Caterpillar, CaterpillarForest, VertexId
+from .graph import Caterpillar, CaterpillarForest, VertexId, longest_path
 
 
 @dataclass(frozen=True)
@@ -170,23 +170,15 @@ def _partition_greedy(comp: Caterpillar, k: int, r: VertexId) -> PartitionResult
 def _first_cut(leaves, i: int, step: int, k: int, end: int) -> int | None:
     """One step of the endpoint greedy: started fresh at spine position i
     and scanning by step toward end, the first j where the run i..j holds
-    a k-path, or None when end comes first.  `leaves(p)` counts the leaves
-    at p.  A longer run's longest path is its length plus one leaf at each
-    leafed end, so j lies k-3 to k-1 steps from i; a one-position run
-    (k = 3) is a star, needing two leaves."""
+    a k-path (`graph.longest_path`), or None when end comes first.
+    `leaves(p)` counts the leaves at p.  A run's longest path has at most
+    two vertices off the spine, so j lies k-3 to k-1 steps from i."""
     j = i + step * (k - 3)
-    if (j - end) * step > 0:
-        return None
-    has_leaf = leaves(i) > 0
-    if (leaves(i) >= 2) if j == i else (has_leaf and leaves(j)):
-        return j
-    j += step
-    if (j - end) * step > 0:
-        return None
-    if has_leaf or leaves(j):
-        return j
-    j += step
-    return None if (j - end) * step > 0 else j
+    while (j - end) * step <= 0:
+        if longest_path(abs(j - i) + 1, leaves(i), leaves(j)) >= k:
+            return j
+        j += step
+    return None
 
 
 def _endpoint_pieces(

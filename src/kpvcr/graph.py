@@ -14,9 +14,10 @@ leaves into singleton components and splits the spine into runs.
 Each component has one vertex table, `Ranks`: its vertices numbered in the
 routing order, with each rank's spine position.  Membership, neighbours,
 deletion, the planner's routing, the slide test and the rigidity engine all
-read it, and token sets over a component are ints over its ranks.  It and
-the other derived structure (canonical form, vertex sets, the vertex ->
-component memo, the memo of cover verdicts) are computed on first use and
+read it, and token sets over a component are ints over its ranks.  A
+forest has one vertex table too, `_component`: each vertex's component,
+built in one pass.  These and the other derived structure (canonical form,
+vertex sets, the memo of cover verdicts) are computed on first use and
 stored on the frozen object they describe, as a `cached_property`, so they
 live exactly as long as that object.  No module keeps a module-level cache.
 """
@@ -309,18 +310,18 @@ class CaterpillarForest:
         return sum(c.n for c in self.components)
 
     def has_vertex(self, v: VertexId) -> bool:
-        return self._find_component(v) is not None
+        return v in self._component
 
     def component_of(self, v: VertexId) -> Caterpillar:
-        comp = self._find_component(v)
+        comp = self._component.get(v)
         if comp is None:
             raise InputError(f"unknown vertex {v}")
         return comp
 
     @cached_property
-    def _vcomp(self) -> dict[VertexId, Caterpillar]:
-        """Vertex -> component, filled in by _find_component."""
-        return {}
+    def _component(self) -> dict[VertexId, Caterpillar]:
+        """Vertex -> component: the forest's one vertex table."""
+        return {v: c for c in self.components for v in c.all_vertices()}
 
     @cached_property
     def _memo(self) -> dict[tuple, object]:
@@ -328,18 +329,6 @@ class CaterpillarForest:
         the planner's signatures and `cover.is_kpvc`'s verdicts on start
         covers.  Values never hold the forest, which would make a cycle."""
         return {}
-
-    def _find_component(self, v: VertexId) -> Caterpillar | None:
-        """Memoized lookup; scans component rank tables so the cost stays
-        proportional to the component count, not n."""
-        memo = self._vcomp
-        comp = memo.get(v)
-        if comp is None:
-            for c in self.components:
-                if v in c._ranks.rank:
-                    memo[v] = c
-                    return c
-        return comp
 
     def adjacency(self) -> dict[VertexId, tuple[VertexId, ...]]:
         return {v: c.neighbors(v) for c in self.components for v in c.all_vertices()}
@@ -367,10 +356,7 @@ class CaterpillarForest:
         # group drops per component; untouched components are reused as-is
         local: dict[int, set[VertexId]] = {}
         for v in dropset:
-            comp = self._find_component(v)
-            if comp is None:
-                raise InputError(f"unknown vertex {v}")
-            local.setdefault(id(comp), set()).add(v)
+            local.setdefault(id(self.component_of(v)), set()).add(v)
         out: list[Caterpillar] = []
         for comp in self.components:
             mine = local.get(id(comp))

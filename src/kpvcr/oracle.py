@@ -33,32 +33,17 @@ def enumerate_kpvcs(forest: CaterpillarForest, k: int, size: int) -> set[TokenSe
 
 
 def _cover_masks(ctx: PathCoverContext, size: int) -> list[int]:
-    masks = []
-    for combo in combinations(ctx.order, size):
-        m = 0
-        for v in combo:
-            m |= ctx.bit[v]
-        if ctx.is_cover(m):
-            masks.append(m)
-    return masks
+    masks = map(ctx.mask_of, combinations(ctx.order, size))
+    return [m for m in masks if ctx.is_cover(m)]
 
 
 def _neighbors(ctx: PathCoverContext, mask: int) -> Iterator[int]:
     for v in ctx.order:
         vb = ctx.bit[v]
-        if not (mask & vb):
-            continue
-        for _, ub in ctx.neighbor_bits[v]:
-            if mask & ub:
-                continue
-            new = (mask ^ vb) | ub
-            ok = True
-            for p in ctx.paths_by_vertex[v]:
-                if not (p & new):
-                    ok = False
-                    break
-            if ok:
-                yield new
+        if mask & vb:
+            for u, ub in ctx.neighbor_bits[v]:
+                if ctx.slide_ok(mask, v, u):
+                    yield (mask ^ vb) | ub
 
 
 def _reachable_masks(

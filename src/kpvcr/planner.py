@@ -27,6 +27,7 @@ any matched target.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -76,11 +77,15 @@ class TsSequence:
 # ---------------------------------------------------------------------------
 
 
-def reachability_signature(
-    forest: CaterpillarForest, I: TokenSet
-) -> tuple[int, frozenset[VertexId], frozenset[tuple[frozenset[VertexId], int]]]:
-    """(size, rigid set, per-component token counts of G - R).  Two covers
-    are TS-reachable from each other exactly when their signatures match."""
+Signature = tuple[int, frozenset[VertexId], frozenset[tuple[VertexId, int]]]
+
+
+def reachability_signature(forest: CaterpillarForest, I: TokenSet) -> Signature:
+    """(size, rigid set R, token counts of G - R): the third element pairs
+    the smallest vertex of each G - R component holding a token with its
+    token count.  Two covers of one forest are TS-reachable from each other
+    exactly when their signatures match; signatures of different forests
+    do not compare."""
     if I.k <= 3:
         raise UnsupportedParameterError("reachability supports k >= 4 only")
     if not is_kpvc(forest, I):
@@ -88,18 +93,16 @@ def reachability_signature(
     return _signature(forest, I.occupied, I.k)
 
 
-def _signature(
-    forest: CaterpillarForest, occupied: frozenset[VertexId], k: int
-) -> tuple[int, frozenset[VertexId], frozenset[tuple[frozenset[VertexId], int]]]:
+def _signature(forest: CaterpillarForest, occupied: frozenset[VertexId], k: int) -> Signature:
+    """Tokens outside R are counted through G - R's vertex table, once
+    each; a component of G - R without a token costs nothing here."""
     key = ("signature", occupied, k)
     sig = forest._memo.get(key)
     if sig is None:
         rigid = rigid_set(forest, TokenSet(occupied, k)).rigid
-        comps = frozenset(
-            (verts, len(occupied & verts))
-            for verts in (frozenset(c.all_vertices()) for c in forest.delete(rigid).components)
-        )
-        sig = forest._memo[key] = (len(occupied), rigid, comps)
+        component = forest.delete(rigid)._component
+        counts = Counter(component[v]._min_vertex for v in occupied - rigid)
+        sig = forest._memo[key] = (len(occupied), rigid, frozenset(counts.items()))
     return sig
 
 
@@ -189,13 +192,13 @@ def validate_sequence(forest: CaterpillarForest, k: int, seq: TsSequence) -> boo
             return False
     except InputError:
         return False
-    find = forest._find_component
+    component = forest._component
     tokens: dict[Caterpillar, list[VertexId]] = {}
     for v in seq.start.occupied:
-        tokens.setdefault(find(v), []).append(v)
+        tokens.setdefault(component[v], []).append(v)
     occs = {comp: comp._ranks.mask_of(vs) for comp, vs in tokens.items()}
     for frm, to in seq.moves:
-        comp = find(frm)
+        comp = component.get(frm)
         if comp is None or to not in comp._ranks.rank:
             return False
         ranks = comp._ranks

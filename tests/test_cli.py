@@ -43,6 +43,14 @@ start s1 s3 s5 l3.1 l5.1 l5.2
 target s1 s3 s5 l3.1 l5.1 l5.2
 """
 
+K2_INSTANCE = """\
+kpvcr 1
+k 2
+spine 3
+start s2
+target s2
+"""
+
 
 @pytest.fixture
 def yes_file(tmp_path):
@@ -71,7 +79,15 @@ class TestDecide:
         p = tmp_path / "k3.kpvcr"
         p.write_text(K3_INSTANCE)
         assert main(["decide", str(p)]) == 2
-        assert "k = 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "k = 3" in err and "open problem" in err
+
+    def test_k2_refused_naming_its_k(self, tmp_path, capsys):
+        p = tmp_path / "k2.kpvcr"
+        p.write_text(K2_INSTANCE)
+        assert main(["decide", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "k = 2" in err and "k = 3" not in err and "open problem" not in err
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["decide", str(tmp_path / "absent")]) == 2

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpvcr import (
+    Caterpillar,
+    GenerateConfig,
     InputError,
     LogicError,
     TokenSet,
@@ -25,6 +27,7 @@ from kpvcr import (
     is_ts_reachable,
     oracle_reachable,
     partition,
+    random_instance,
     reachability_signature,
     validate_sequence,
 )
@@ -335,6 +338,38 @@ class TestValidateSequenceLinear:
         assert validate_sequence(G, 4, seq)
         assert len(seq) > 2500 and calls == [seq.start]
         assert list(G._memo) == [("kpvc", seq.start.occupied, 4)]
+
+
+class TestBuildSequenceRigidSplit:
+    """A rigid set that splits the caterpillar leaves G - R with over a
+    thousand components, of which a witness changes about a hundred."""
+
+    def test_reads_each_component_a_bounded_number_of_times(self, monkeypatch):
+        """The witness reads each component's vertices a bounded number of
+        times, however many components it changes: the reduced-cover check
+        counts tokens through the forest's vertex table."""
+        inst = random_instance(GenerateConfig(spine=3000, leaf_prob=0.3, k=4, seed=1))
+        G, I, J = inst.forest(), inst.start_tokens(), inst.target_tokens()
+        all_vertices = Caterpillar.all_vertices
+        calls = 0
+
+        def counting(comp):
+            nonlocal calls
+            calls += 1
+            return all_vertices(comp)
+
+        monkeypatch.setattr(Caterpillar, "all_vertices", counting)
+        seq = build_sequence(G, I, J)
+        monkeypatch.undo()
+        sig = reachability_signature(G, I)
+        rest = G.delete(sig[1])
+        assert len(seq) > 100 and len(rest.components) > 1000
+        assert calls <= 8 * len(rest.components)
+        # one entry per G - R component holding a token, keyed by its
+        # smallest vertex
+        held = [c for c in rest.components if not I.occupied.isdisjoint(c.all_vertices())]
+        assert sorted(m for m, _ in sig[2]) == sorted(min(c.all_vertices()) for c in held)
+        assert sum(count for _, count in sig[2]) == len(I) - len(sig[1])
 
 
 class TestBuildSequence:
