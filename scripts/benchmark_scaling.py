@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark rigid_set scaling, witness validation on the slack path, and
-the full decision on random caterpillars.
+"""Benchmark rigid_set scaling, witness construction and validation on the
+slack path, and the full decision on random caterpillars.
 
 For each size, prints rigid_set's wall time on a random caterpillar's
-minimum cover, then the fitted log-log slope.  Then, for each size, builds
-the slack path's witness and times validate_sequence on it, and prints
-that slope against n + moves.  The slack path is a bare path with k = 4:
+minimum cover, then the fitted log-log slope.  Then, for each size, times
+build_sequence and validate_sequence on the slack path's witness, and
+prints both slopes against n + moves.  The slack path is a bare path with k = 4:
 its left-rooted minimum cover plus the leftmost free vertex, against the
 right-rooted one plus the rightmost free vertex.  Optionally times a
 single end-to-end decide.
@@ -96,15 +96,17 @@ def main() -> int:
     if len(points) >= 2:
         print(f"log-log slope: {fitted_slope(points):.2f}")
 
+    build_points: list[tuple[int, float]] = []
     points = []
     for n in args.sizes:
-        G, I, J = slack_path(n)
-        t0 = time.perf_counter()
-        seq = build_sequence(G, I, J)
-        build_s = time.perf_counter() - t0
-        # best of three, each on a fresh forest, so that no verdict the
+        # best of three, each on a fresh forest, so that no verdict a
         # build memoised is reused
-        dt = math.inf
+        build_s = dt = math.inf
+        for _ in range(3):
+            G, I, J = slack_path(n)
+            t0 = time.perf_counter()
+            seq = build_sequence(G, I, J)
+            build_s = min(build_s, time.perf_counter() - t0)
         for _ in range(3):
             fresh = slack_path(n)[0]
             t0 = time.perf_counter()
@@ -113,10 +115,12 @@ def main() -> int:
         if not (ok and seq.end.occupied == J.occupied):
             print(f"slack path n={n}: witness INVALID")
             return 1
+        build_points.append((n + len(seq), build_s))
         points.append((n + len(seq), dt))
-        print(f"slack path n={n:6d} moves={len(seq):6d} build_sequence {build_s:8.2f}s "
+        print(f"slack path n={n:6d} moves={len(seq):6d} build_sequence {build_s:8.3f}s "
               f"validate_sequence {dt:8.3f}s")
     if len(points) >= 2:
+        print(f"build_sequence log-log slope in n + moves: {fitted_slope(build_points):.2f}")
         print(f"validate_sequence log-log slope in n + moves: {fitted_slope(points):.2f}")
 
     if args.decide:

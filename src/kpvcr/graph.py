@@ -327,7 +327,8 @@ class CaterpillarForest:
     def _memo(self) -> dict[tuple, object]:
         """Verdicts about covers of this forest, keyed by (kind, cover, k):
         the planner's signatures and `cover.is_kpvc`'s verdicts on start
-        covers.  Values never hold the forest, which would make a cycle."""
+        covers; also G - R per rigid set R, keyed by ("minus", R).  Values
+        never hold the forest, which would make a cycle."""
         return {}
 
     def adjacency(self) -> dict[VertexId, tuple[VertexId, ...]]:

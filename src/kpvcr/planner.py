@@ -100,10 +100,23 @@ def _signature(forest: CaterpillarForest, occupied: frozenset[VertexId], k: int)
     sig = forest._memo.get(key)
     if sig is None:
         rigid = rigid_set(forest, TokenSet(occupied, k)).rigid
-        component = forest.delete(rigid)._component
+        component = _minus(forest, rigid)._component
         counts = Counter(component[v]._min_vertex for v in occupied - rigid)
         sig = forest._memo[key] = (len(occupied), rigid, frozenset(counts.items()))
     return sig
+
+
+def _minus(forest: CaterpillarForest, rigid: frozenset[VertexId]) -> CaterpillarForest:
+    """G - R, built once per rigid set: both covers of a YES pair and the
+    witness share it through the forest's memo.  Deleting nothing returns
+    the forest itself, which its own memo must not hold."""
+    if not rigid:
+        return forest
+    key = ("minus", rigid)
+    rest = forest._memo.get(key)
+    if rest is None:
+        rest = forest._memo[key] = forest.delete(rigid)
+    return rest
 
 
 def is_ts_reachable(forest: CaterpillarForest, I: TokenSet, J: TokenSet) -> bool:
@@ -128,7 +141,7 @@ def is_ts_reachable(forest: CaterpillarForest, I: TokenSet, J: TokenSet) -> bool
 def build_sequence(forest: CaterpillarForest, I: TokenSet, J: TokenSet) -> TsSequence:
     if not is_ts_reachable(forest, I, J):
         raise LogicError("witness requested for a NO instance")
-    rest = forest.delete(_signature(forest, I.occupied, I.k)[1])
+    rest = _minus(forest, _signature(forest, I.occupied, I.k)[1])
     moves: list[Move] = []
     for comp in rest.canonical().components:
         verts = frozenset(comp.all_vertices())
@@ -274,13 +287,16 @@ def _plan_component(
 
 class _Router:
     """One cover's routing on a component: occupancy as an int over the
-    component's routing ranks, and the slides made so far as rank pairs.
+    component's routing ranks, the slides made so far as rank pairs, and
+    the frontier `blocked` of spine tokens that cannot move right now.
     Each routing step below makes one slide (a cascade several) and says
     whether it moved."""
 
     def __init__(self, ranks: Ranks, k: int, cover: frozenset[VertexId]):
         self.ranks, self.k = ranks, k
         self.occ = ranks.mask_of(cover)
+        # spine tokens whose push-right test failed at this occupancy
+        self.blocked = 0
         self.moves: list[tuple[int, int]] = []
         self.protected: set[int] = set()
         self.stack: list[int] = []
@@ -327,6 +343,23 @@ class _Router:
     def slide(self, frm: int, to: int) -> None:
         self.occ ^= 1 << frm | 1 << to
         self.moves.append((frm, to))
+        if self.blocked:
+            # a slide test reads positions within k - 1 of its token, and
+            # `to` is at most one position from `frm`: clear the verdicts
+            # within k positions of `frm`
+            ranks, k = self.ranks, self.k
+            i = ranks.pos[frm]
+            lo = ranks.first[i - k] if i > k else 0
+            hi = ranks.spine[i + k] if i + k < len(ranks.spine) else ranks.spine[-1]
+            self.blocked &= ~((2 << hi) - (1 << lo))
+
+    def push_ok(self, i: int) -> bool:
+        """Can the spine token at position i slide one position right?
+        A failed test is kept in `blocked` until a slide nearby clears it."""
+        if self.can_slide(i, self.ranks.spine[i + 1]):
+            return True
+        self.blocked |= 1 << self.ranks.spine[i]
+        return False
 
     def reopen(self, q: int, next_: bool) -> None:
         """A slide vacated q: if it was settled, refill it next, or after
@@ -348,9 +381,19 @@ class _Router:
         step toward y (spine slide, leaf lift, or leaf lift after a
         left-cascade).  Advancing from the back keeps the tokens packed, so
         that by the time a steal onto a leaf target is attempted its
-        support is already in place."""
+        support is already in place.
+
+        Spine tokens in `blocked` are skipped without a test: their push
+        failed and nothing within k positions has moved since.  A slide
+        clears at most 2k + 1 positions, so a move costs O(k) push tests
+        (plus any cascade attempts of leaf tokens) instead of one test per
+        token below y."""
         pos, spine = self.ranks.pos, self.ranks.spine
-        for p in _members(self.occ & ((1 << y) - 1)):
+        cand = self.occ & ~self.blocked & ((1 << y) - 1)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            p = low.bit_length() - 1
             if p in self.protected:
                 continue
             i = pos[p]
@@ -359,7 +402,7 @@ class _Router:
                 if not self.occ >> spine[i] & 1 or self.cascade(i):
                     self.slide(p, spine[i])
                     return True
-            elif i < pos[y] and self.can_slide(i, spine[i + 1]):
+            elif i < pos[y] and self.push_ok(i):
                 self.slide(p, spine[i + 1])
                 return True
         return False
@@ -380,6 +423,8 @@ class _Router:
         saved = self.occ, len(self.moves)
         for q in reversed(chain):
             if not (q and self.can_slide(q, spine[q - 1])):
+                # the rollback changes only positions the undone slides
+                # touched, and those slides cleared the verdicts near them
                 self.occ = saved[0]
                 del self.moves[saved[1] :]
                 return False
@@ -428,11 +473,11 @@ class _Router:
         """Deadlock breaker: slide the nearest blocking spine token (at or
         past y, or protected) one step right."""
         pos, spine = self.ranks.pos, self.ranks.spine
-        for q in _members(self.occ):
+        for q in _members(self.occ & ~self.blocked):
             i = pos[q]
             if q != spine[i] or (q < y and q not in self.protected) or i + 1 == len(spine):
                 continue
-            if self.can_slide(i, spine[i + 1]):
+            if self.push_ok(i):
                 return self.displace(q, spine[i + 1])
         return False
 

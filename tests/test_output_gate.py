@@ -7,6 +7,9 @@ of a witness, so a changed failure shows as well.  `test_render_digest`
 digests `random_instance(...).render()` on spines up to 3,000, k 3-6, with
 and without scrambling; the benchmark draws its instances through
 `random_instance`, so its inputs depend on this output too.
+`test_long_spine_witness_digest` digests witnesses on `kpvcr gen` spines of
+1,000-5,000 vertices whose rigid set is empty, so one router walks the
+whole caterpillar for hundreds or thousands of moves.
 
 The digests were recorded from the planner and generator that tested each
 slide against whole-forest k-path bitmasks (`_kpaths.PathCoverContext`);
@@ -20,7 +23,14 @@ import random
 
 import pytest
 
-from kpvcr import GenerateConfig, LogicError, build_sequence, random_instance
+from kpvcr import (
+    GenerateConfig,
+    LogicError,
+    TokenSet,
+    build_sequence,
+    random_instance,
+    reachability_signature,
+)
 from kpvcr.instance import render_witness
 
 
@@ -66,6 +76,36 @@ WITNESS_DIGESTS = {
 def test_witness_digest(k):
     lines = [line for c in _witness_configs(k) for line in _witness_lines(c)]
     assert _digest(lines) == WITNESS_DIGESTS[k]
+
+
+# (spine, k, seed, slack) -> digest of both directions' witnesses, recorded
+# before the router kept a frontier of blocked tokens.  At leaf probability
+# 0.4 these k = 4 seeds draw covers with an empty rigid set; no k = 5 draw
+# tried had one, so those covers get one slack token each (the first free
+# spine vertex for the start, the last for the target), which empties it.
+LONG_SPINE_DIGESTS = {
+    (1000, 4, 4, False): "ec68151112542bdc",
+    (3000, 4, 1, False): "2ba1a1026a52ff5e",
+    (5000, 4, 1, False): "c41efc113a136c92",
+    (1000, 5, 1, True): "0905238a4a6f342e",
+    (3000, 5, 1, True): "8abde851037dff78",
+    (5000, 5, 1, True): "e2ecb7506bf230b7",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_SPINE_DIGESTS))
+def test_long_spine_witness_digest(case):
+    spine, k, seed, slack = case
+    inst = random_instance(GenerateConfig(spine=spine, leaf_prob=0.4, k=k, seed=seed))
+    forest = inst.forest()
+    I, J = inst.start_tokens(), inst.target_tokens()
+    if slack:
+        (comp,) = forest.components
+        I = TokenSet(I.occupied | {next(v for v in comp.spine if v not in I.occupied)}, k)
+        J = TokenSet(J.occupied | {next(v for v in reversed(comp.spine) if v not in J.occupied)}, k)
+    assert not reachability_signature(forest, I)[1]
+    lines = [render_witness(build_sequence(forest, a, b).moves) for a, b in ((I, J), (J, I))]
+    assert _digest(lines) == LONG_SPINE_DIGESTS[case]
 
 
 def _render_configs(k: int) -> list[GenerateConfig]:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from kpvcr import (
     Caterpillar,
+    CaterpillarForest,
     GenerateConfig,
     InputError,
     LogicError,
@@ -31,6 +32,9 @@ from kpvcr import (
     reachability_signature,
     validate_sequence,
 )
+
+from kpvcr._kpaths import slide_ok
+from kpvcr.planner import _Router
 
 from conftest import cat, covered_instances, toks, vs
 
@@ -370,6 +374,107 @@ class TestBuildSequenceRigidSplit:
         held = [c for c in rest.components if not I.occupied.isdisjoint(c.all_vertices())]
         assert sorted(m for m, _ in sig[2]) == sorted(min(c.all_vertices()) for c in held)
         assert sum(count for _, count in sig[2]) == len(I) - len(sig[1])
+
+    def test_deletes_the_rigid_set_once(self, monkeypatch):
+        """Both signatures and the witness share one G - R."""
+        inst = random_instance(GenerateConfig(spine=3000, leaf_prob=0.3, k=4, seed=1))
+        G, I, J = inst.forest(), inst.start_tokens(), inst.target_tokens()
+        delete = CaterpillarForest.delete
+        drops = []
+
+        def counting(forest, drop):
+            drops.append(frozenset(drop))
+            return delete(forest, drops[-1])
+
+        monkeypatch.setattr(CaterpillarForest, "delete", counting)
+        build_sequence(G, I, J)
+        monkeypatch.undo()
+        R = reachability_signature(G, I)[1]
+        assert len(R) > 600 and drops.count(R) == 1
+
+
+def _slack_pair(n):
+    """The slack path's two covers: a bare path of n vertices with k = 4,
+    its left-rooted minimum cover plus the leftmost free vertex, and its
+    right-rooted one plus the rightmost free vertex.  The rigid set is
+    empty and the witness walks about 1.75 n slides."""
+    G = cat(n)
+    (comp,) = G.components
+    left = set(partition(comp, 4, comp.spine[0]).representatives)
+    right = set(partition(comp, 4, comp.spine[-1]).representatives)
+    left.add(next(v for v in comp.spine if v not in left))
+    right.add(next(v for v in reversed(comp.spine) if v not in right))
+    return G, TokenSet.of(4, left), TokenSet.of(4, right)
+
+
+class TestBuildSequenceLinear:
+    def test_slide_tests_per_move_are_bounded(self, monkeypatch):
+        """The router keeps the spine tokens whose push failed, so a move
+        costs O(k) slide tests, not one per token behind the target."""
+        G, I, J = _slack_pair(2560)
+        assert not reachability_signature(G, I)[1]
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return slide_ok(*args)
+
+        monkeypatch.setattr("kpvcr.planner.slide_ok", counting)
+        seq = build_sequence(G, I, J)
+        monkeypatch.undo()
+        assert len(seq) > 4000 and seq.end.occupied == J.occupied
+        assert calls <= 4 * len(seq), (calls, len(seq))
+
+    def test_slide_clears_every_verdict_it_could_change(self):
+        """After any slide, every token left in the frontier is an occupied
+        spine vertex whose push-right test still fails.  The covers walk by
+        random valid slides, with every spine token's push tested between
+        them; a window reaching one position less far right of `frm` leaves
+        stale verdicts."""
+        rng = random.Random(5)
+        kept = 0
+        for _ in range(60):
+            k = rng.choice((4, 5, 6))
+            config = GenerateConfig(
+                spine=rng.randint(10, 60),
+                leaf_prob=rng.choice((0.0, 0.3, 0.6)),
+                k=k,
+                seed=rng.randrange(2**31),
+            )
+            inst = random_instance(config)
+            (comp,) = inst.forest().components
+            ranks = comp._ranks
+            spine, pos, first = ranks.spine, ranks.pos, ranks.first
+            extra = {v for v in comp.spine if rng.random() < 0.1}
+            router = _Router(ranks, k, inst.start_tokens().occupied | extra)
+            for _ in range(200):
+                for i in range(len(spine) - 1):
+                    if router.occ >> spine[i] & 1 and not router.blocked >> spine[i] & 1:
+                        router.push_ok(i)
+                moves = []
+                for r in range(len(ranks.order)):
+                    i = pos[r]
+                    if not router.occ >> r & 1:
+                        continue
+                    if r != spine[i]:
+                        if not router.occ >> spine[i] & 1:
+                            moves.append((r, spine[i]))
+                        continue
+                    nbrs = [spine[j] for j in (i - 1, i + 1) if 0 <= j < len(spine)]
+                    nbrs += range(first[i], spine[i])
+                    moves += [(r, w) for w in nbrs if router.can_slide(i, w)]
+                if not moves:
+                    break
+                router.slide(*rng.choice(moves))
+                blocked = router.blocked
+                while blocked:
+                    r = (blocked & -blocked).bit_length() - 1
+                    blocked ^= 1 << r
+                    i = pos[r]
+                    assert router.occ >> r & 1 and not router.can_slide(i, spine[i + 1])
+                    kept += 1
+        assert kept > 10_000
 
 
 class TestBuildSequence:
