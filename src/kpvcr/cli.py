@@ -192,10 +192,8 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InputError, UnsupportedParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, UnsupportedParameterError, OSError, UnicodeDecodeError) as exc:
+        # an unreadable or non-UTF-8 file is an input error too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LogicError as exc:

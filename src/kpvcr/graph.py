@@ -14,12 +14,16 @@ leaves into singleton components and splits the spine into runs.
 Each component has one vertex table, `Ranks`: its vertices numbered in the
 routing order, with each rank's spine position.  Membership, neighbours,
 deletion, the planner's routing, the slide test and the rigidity engine all
-read it, and token sets over a component are ints over its ranks.  A
-forest has one vertex table too, `_component`: each vertex's component,
-built in one pass.  These and the other derived structure (canonical form,
-vertex sets, the memo of cover verdicts) are computed on first use and
-stored on the frozen object they describe, as a `cached_property`, so they
-live exactly as long as that object.  No module keeps a module-level cache.
+read it, and token sets over a component are ints over its ranks.  The
+rigidity engine folds a leafless spine end onto its neighbour by
+arithmetic on that table (`rigidity._Sub`); only
+`CaterpillarForest.canonical()`, on which the planner routes witnesses,
+builds canonical copies of components.  A forest has one vertex table
+too, `_component`: each vertex's component, built in one pass.  These and
+the other derived structure (canonical form, vertex sets, the memo of
+cover verdicts) are computed on first use and stored on the frozen object
+they describe, as a `cached_property`, so they live exactly as long as
+that object.  No module keeps a module-level cache.
 """
 
 from __future__ import annotations
@@ -156,18 +160,12 @@ class Caterpillar:
     def _min_vertex(self) -> VertexId:
         return min(self.all_vertices(), key=attrgetter("_sort_key"))
 
-    @property
-    def _canonical(self) -> "Caterpillar":
-        """Leaf tuples sorted, and a leafless spine endpoint reclassified as
-        a leaf of its neighbour.  The neighbour's leaf tuple is then
-        non-empty, so at most one endpoint folds in per side.  A component
-        already in normal form is its own canonical form."""
-        other = self._canonical_other
-        return self if other is None else other
-
     @cached_property
     def _canonical_other(self) -> "Caterpillar | None":
-        """The canonical form when it is another object, else None: caching
+        """The canonical form: leaf tuples sorted, and a leafless spine
+        endpoint reclassified as a leaf of its neighbour.  The neighbour's
+        leaf tuple is then non-empty, so at most one endpoint folds in per
+        side.  None when the component is already in normal form: caching
         the component itself would be a reference cycle, freed only by the
         cycle collector."""
         spine = self.spine
@@ -369,11 +367,9 @@ class CaterpillarForest:
 
     def canonical(self) -> "CaterpillarForest":
         """Normal form: every component in its canonical form (see
-        Caterpillar._canonical), sorted by smallest vertex."""
-        comps = sorted(
-            (c._canonical for c in self.components), key=attrgetter("_min_vertex")
-        )
-        return _raw_forest(tuple(comps))
+        Caterpillar._canonical_other), sorted by smallest vertex."""
+        comps = (c._canonical_other or c for c in self.components)
+        return _raw_forest(tuple(sorted(comps, key=attrgetter("_min_vertex"))))
 
 
 def _delete_in_component(comp: Caterpillar, drop: frozenset[VertexId]) -> list[Caterpillar]:

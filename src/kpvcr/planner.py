@@ -169,6 +169,8 @@ def construct_si(
     if len(forest.components) != 1:
         raise InputError("construct_si expects a single component")
     comp = forest.components[0]
+    current.validate_on(forest)
+    target.validate_on(forest)
     if current.k != target.k:
         raise LogicError("covers disagree on k")
     rank = comp._ranks.rank

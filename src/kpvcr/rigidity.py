@@ -8,29 +8,30 @@ region around u (an H-region) exists and whether any nearby movable token
 can be fed into it.
 
 The analysis recurses into subgraphs with tokens deleted, and never builds
-them.  It works on the canonical form of each input component (the
-component's cached `_canonical`) through that form's one vertex table, its
-routing ranks (`graph.Ranks`): vertices are ranks and vertex sets are ints
-over them.  A subproblem (`_Sub`) is the spine run [lo, hi] of one
-canonical component between deleted spine vertices, minus the deleted
-leaves inside it, a rank mask.  Its canonical form is arithmetic: a run end
-left without leaves folds onto its neighbour as a leaf, so the spine proper
-is [a, b].  Neighbours, the H-region window scan and anchors are index
-arithmetic and mask tests on that interval, and `(ranks, lo, hi, deleted
-leaves, u)` keys the memo in O(1).
+them.  It works on each input component as the forest holds it, through
+that component's one vertex table, its routing ranks (`graph.Ranks`):
+vertices are ranks and vertex sets are ints over them.  A subproblem
+(`_Sub`) is the spine run [lo, hi] of one component between deleted spine
+vertices, minus the deleted leaves inside it, a rank mask; the whole
+component is the run [0, len - 1].  The canonical form is arithmetic on
+`_Sub` and nowhere else: a run end left without leaves folds onto its
+neighbour as a leaf, so the spine proper is [a, b], and `leaves`, `count`
+and `span` hand the folded end to its neighbour.  Neighbours, the H-region
+window scan and anchors are index arithmetic and mask tests on that
+interval, and `(ranks, lo, hi, deleted leaves, u)` keys the memo in O(1).
 
 The query's tokens on a component are one int over its ranks, built once
 per query; it is the only token-dependent table.  Whether a token can slide
 right now is the shared `_kpaths.slide_ok` on that int: every deleted
 vertex is a token, so the test's arm walk stops where the subproblem's run
 ends and needs no subproblem bounds.  The feed test walks the endpoint
-greedy from the region's edge outward on the subproblem's own leaf counts
-(`cover._endpoint_pieces`, the walk `partition` builds its pieces from) and
-counts each piece's tokens as a popcount of that int less the deleted
-leaves.  The recursion runs on an explicit stack: `_decide` yields the
-subproblems it needs and a driver loop sends back their verdicts.
+greedy from the region's edge outward on the subproblem's leaf counts
+(`cover._endpoint_pieces` over `_Sub.count`, the walk `partition` builds
+its pieces from) and counts each piece's tokens as a popcount of `span`.
+The recursion runs on an explicit stack: `_decide` yields the subproblems
+it needs and a driver loop sends back their verdicts.
 
-The public per-token helpers take vertex ids and work on a whole canonical
+The public per-token helpers take vertex ids and work on a whole
 component.  The path classes P(G, I, u) behind `classify_k_paths` and
 `find_h_regions` are filtered from `_kpaths._component_paths`, the one
 k-path enumerator.
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterator
+from typing import Callable, Generator
 
 from ._kpaths import _component_paths, slide_ok
 # partition stays importable from here: the traced benchmark wraps
@@ -116,11 +117,11 @@ def _token_mask(ranks: Ranks, occupied: frozenset[VertexId]) -> int:
 
 class _Sub:
     """A subproblem: the component of the base spine run [lo, hi] of a
-    canonical component, minus the deleted leaves `dl` (a rank mask) inside
-    that run, in canonical form.  Its spine proper is [a, b]; a run end
-    without live leaves (lo < a or b < hi) is a leaf of a, respectively b.
-    `occ` holds the tokens on the whole component, `tok` those on the
-    subproblem's vertices."""
+    component, minus the deleted leaves `dl` (a rank mask) inside that run,
+    in canonical form.  Its spine proper is [a, b]; a run end without live
+    leaves (lo < a or b < hi) is a leaf of a, respectively b.  `occ` holds
+    the tokens on the whole component, `tok` those on the subproblem's
+    vertices."""
 
     __slots__ = ("ranks", "lo", "hi", "dl", "occ", "tok", "a", "b")
 
@@ -134,11 +135,6 @@ class _Sub:
             b -= 1
         self.a, self.b = a, b
 
-    @classmethod
-    def whole(cls, ranks: Ranks, occ: int) -> "_Sub":
-        """The subproblem with nothing deleted: the whole component."""
-        return cls(ranks, 0, len(ranks.spine) - 1, 0, occ)
-
     def live(self, i: int) -> int:
         """The number of base leaves at position i that are not deleted."""
         first, spine = self.ranks.first[i], self.ranks.spine[i]
@@ -146,6 +142,11 @@ class _Sub:
         if self.dl and n:
             n -= _bits(self.dl, first, spine).bit_count()
         return n
+
+    def count(self, i: int) -> int:
+        """The number of leaves of spine position i (a <= i <= b), the run
+        ends folded onto it included."""
+        return self.live(i) + (i == self.a > self.lo) + (i == self.b < self.hi)
 
     def leaves(self, i: int) -> list[int]:
         """Leaves of spine position i (a <= i <= b), the run ends folded
@@ -204,7 +205,7 @@ class _Sub:
         pu = ranks.pos[u]
         if ranks.spine[pu] != u:
             return (ranks, self.lo, self.hi, self.dl | 1 << u, v)
-        pv = ranks.pos[v]
+        pv = self.locate(v)[0]
         if pv == pu:
             return None
         lo, hi = (self.lo, pu - 1) if pv < pu else (pu + 1, self.hi)
@@ -216,19 +217,18 @@ class _Sub:
 
 def _whole_spine_vertex(
     forest: CaterpillarForest, tokens: TokenSet, u: VertexId
-) -> tuple[Caterpillar, _Sub, int]:
-    """Shared argument checks of the public per-token helpers: the
-    canonical form of u's component, that form as a subproblem, and u's
-    spine position there."""
+) -> tuple[_Sub, int]:
+    """Shared argument checks of the public per-token helpers: u's
+    component as a subproblem, and u's spine position there."""
     tokens.validate_on(forest)
-    comp = forest.component_of(u)._canonical
+    ranks = forest.component_of(u)._ranks
     if u not in tokens:
         raise InputError(f"{u} is not occupied")
-    sub = _Sub.whole(comp._ranks, _token_mask(comp._ranks, tokens.occupied))
-    m, leaf = sub.locate(comp._ranks.rank[u])
+    sub = _Sub(ranks, 0, len(ranks.spine) - 1, 0, _token_mask(ranks, tokens.occupied))
+    m, leaf = sub.locate(ranks.rank[u])
     if leaf:
         raise InputError(f"{u} is a leaf, not a spine vertex")
-    return comp, sub, m
+    return sub, m
 
 
 # ---------------------------------------------------------------------------
@@ -246,39 +246,41 @@ def classify_k_paths(
     vertex besides u, split by whether they run left, right, or stay on
     L[u].  `within` restricts the search to an induced subgraph (the
     H-region search evaluates candidates this way)."""
-    comp, _, m = _whole_spine_vertex(forest, tokens, u)
-    return _classify(comp, tokens.occupied, u, m, tokens.k, within)
+    sub, m = _whole_spine_vertex(forest, tokens, u)
+    return _classify(sub, tokens.occupied, u, m, tokens.k, within)
 
 
 def _classify(
-    comp: Caterpillar,
+    sub: _Sub,
     occupied: frozenset[VertexId],
     u: VertexId,
     m: int,
     k: int,
     within: frozenset[VertexId] | None = None,
 ) -> PathClassification:
-    """The k-paths (`_kpaths._component_paths`) of the canonical component
-    `comp` that end at u or at a free leaf of u and hold no token but u's.
-    Those stay within k - 1 spine steps of u, so only that window of the
-    spine is enumerated."""
+    """The k-paths (`_kpaths._component_paths`) of the subproblem `sub`
+    that end at u, on spine position m, or at a free leaf of u and hold no
+    token but u's.  Those stay within k - 1 spine steps of u, so only that
+    window of the spine is enumerated."""
     if k < 3:
         raise InputError("classification requires k >= 3")
 
     def ok(v: VertexId) -> bool:
         return v == u or (v not in occupied and (within is None or v in within))
 
-    free_leaves = {x for x in comp.leaves[m] if ok(x)}
+    order, spine = sub.ranks.order, sub.ranks.spine
+    free_leaves = {order[x] for x in sub.leaves(m) if ok(order[x])}
     ends = free_leaves | {u}
     left: list[KPath] = []
     right: list[KPath] = []
     center: list[KPath] = []
-    spine = comp.spine
-    last = len(spine) - 1
-    sl = spine[m - 1] if m > 0 else None
-    sr = spine[m + 1] if m < last else None
-    lo, hi = max(0, m - k + 1), min(last, m + k - 1)
-    near = Caterpillar(spine[lo : hi + 1], comp.leaves[lo : hi + 1])
+    sl = order[spine[m - 1]] if m > sub.a else None
+    sr = order[spine[m + 1]] if m < sub.b else None
+    run = range(max(sub.a, m - k + 1), min(sub.b, m + k - 1) + 1)
+    near = Caterpillar(
+        tuple(order[spine[i]] for i in run),
+        tuple(tuple(order[x] for x in sub.leaves(i)) for i in run),
+    )
     for p in _component_paths(near, k):
         if (p[0] in ends or p[-1] in ends) and all(ok(v) for v in p):
             p = _orient(p, u, free_leaves)
@@ -311,17 +313,21 @@ def _orient(path: KPath, u: VertexId, leaves: set[VertexId]) -> KPath:
 def find_h_regions(
     forest: CaterpillarForest, tokens: TokenSet, u: VertexId
 ) -> tuple[HRegion, ...]:
-    comp, sub, m = _whole_spine_vertex(forest, tokens, u)
+    sub, m = _whole_spine_vertex(forest, tokens, u)
     k = tokens.k
     if k < 3:
         raise InputError("H-regions require k >= 3")
-    occupied = tokens.occupied
+    ranks = sub.ranks
 
     def window(a: int, b: int) -> frozenset[VertexId]:
-        return frozenset(itertools.chain(comp.spine[a : b + 1], *comp.leaves[a : b + 1]))
+        # spine positions a..b and their leaves, with the run ends folded
+        # onto a or b, as in `span`
+        i = sub.lo if a == sub.a else a
+        j = sub.hi if b == sub.b else b
+        return frozenset(ranks.order[ranks.first[i] : ranks.spine[j] + 1])
 
     def witness(a: int, b: int) -> tuple[KPath, KPath] | None:
-        return _h2_witness(_classify(comp, occupied, u, m, k, window(a, b)), u, k)
+        return _h2_witness(_classify(sub, tokens.occupied, u, m, k, window(a, b)), u, k)
 
     out = []
     for a, b in _find_h_regions(sub, m, k, witness if k == 3 else None):
@@ -431,8 +437,8 @@ def anchor_set(
 ) -> frozenset[VertexId]:
     """Occupied vertices v (not u, not leaves of u) within distance k of u
     whose connecting path carries no other token."""
-    comp, sub, m = _whole_spine_vertex(forest, tokens, u)
-    return frozenset(comp._ranks.order[v] for v in _anchors(sub, m, tokens.k))
+    sub, m = _whole_spine_vertex(forest, tokens, u)
+    return frozenset(sub.ranks.order[v] for v in _anchors(sub, m, tokens.k))
 
 
 def _anchors(sub: _Sub, m: int, k: int) -> list[int]:
@@ -485,17 +491,17 @@ class _RigidityContext:
         self.k = tokens.k
         self._memo: dict[tuple, RigidDecision] = {}
         self._masks: dict[Ranks, int] = {}
-        self._chains: dict[tuple, _CutChain] = {}
+        self._doubled: dict[tuple, dict[int, bool]] = {}
 
     def mask(self, ranks: Ranks) -> int:
-        """The query's tokens on one canonical component."""
+        """The query's tokens on one component."""
         got = self._masks.get(ranks)
         if got is None:
             got = self._masks[ranks] = _token_mask(ranks, self.occupied)
         return got
 
     def verdict(self, u: VertexId) -> RigidDecision:
-        ranks = self.forest.component_of(u)._canonical._ranks
+        ranks = self.forest.component_of(u)._ranks
         return self.is_rigid((ranks, 0, len(ranks.spine) - 1, 0, ranks.rank[u]))
 
     def is_rigid(self, key: tuple) -> RigidDecision:
@@ -611,12 +617,11 @@ class _RigidityContext:
         if edge == m:
             return False  # the region has no vertex on v's side
         start = edge + step
-        chain = self.chain(sub, step)
-        pieces = chain.pieces(start)
+        pieces = _endpoint_pieces(sub.count, start, step, k, end)
         head = next(pieces, None)
         if head is None:
             # H_v has no k-path; a token there can walk straight toward H
-            return chain.tokens(start, end, moved) > 0
+            return _tokens(sub, start, end, moved) > 0
         # positional sanity check: v lies in the first piece and is not its
         # representative.  It presumes no occupied leaf hangs off the
         # interior of P_uv, so skip it when one does
@@ -630,72 +635,36 @@ class _RigidityContext:
         # piece past it on, the answer is the subproblem's own and shared
         for near, far, _ in itertools.chain((head,), pieces):
             if all((p - near) * step < 0 for p, _ in moved):
-                return chain.doubled_from(near)
-            if chain.tokens(near, far, moved) >= 2:
+                return self.doubled_from(sub, near, step)
+            if _tokens(sub, near, far, moved) >= 2:
                 return True
         return False
 
-    def chain(self, sub: _Sub, step: int) -> "_CutChain":
-        """The subproblem's cut chain toward its spine end in direction
-        step.  Subproblems sharing that end and their deleted leaves share
-        it, with its memo.  Without that, each feed test walks to the far
-        end and rigid_set turns quadratic: on the minimum cover at n = 8000
-        of scripts/benchmark_scaling.py half of the 2,423 chain walks are
+    def doubled_from(self, sub: _Sub, start: int, step: int) -> bool:
+        """Does a piece of the endpoint greedy on the subproblem's spine,
+        from `start` (which has a first cut) toward its spine end in
+        direction step, hold two or more tokens?
+
+        Starts lie short of the other spine end, so the pieces from a start
+        depend only on the far end, the run end folded onto it and the
+        deleted leaves.  Subproblems sharing those share one memo of the
+        answer per start.  Without it each feed test walks to the far end
+        and rigid_set turns quadratic: on the minimum cover at n = 8000 of
+        scripts/benchmark_scaling.py half of the 2,423 chain walks are
         answered by their first memo lookup, 3,452 pieces are counted
         instead of 1,866,327, and the call takes 0.39 s instead of 4.85 s
         (Python 3.11, one CPU)."""
-        far = (sub.a, sub.lo) if step < 0 else (sub.b, sub.hi)
-        key = (sub.ranks, step, far, sub.dl)
-        got = self._chains.get(key)
-        if got is None:
-            got = self._chains[key] = _CutChain(sub, step, self.k)
-        return got
-
-
-class _CutChain:
-    """The endpoint greedy of cover.partition on a subproblem's spine,
-    scanning by `step` toward its spine end and rooted there: the walk of
-    `cover._endpoint_pieces` on the subproblem's leaf counts.
-
-    It serves starts short of the subproblem's other spine end, so only
-    the far end matters: whether a run end folds in there, and the deleted
-    leaves.  Token counts are popcounts of the subproblem's token mask.
-    Pieces from a given start always form the same chain, so whether one
-    of them holds two tokens is memoised per start.
-    """
-
-    __slots__ = ("live", "first", "spine", "tok", "end", "raw_end", "step", "k", "_doubled")
-
-    def __init__(self, sub: _Sub, step: int, k: int):
-        self.live, self.tok = sub.live, sub.tok
-        self.first, self.spine = sub.ranks.first, sub.ranks.spine
-        self.step, self.k = step, k
-        # the far spine end, and the run end folded onto it as a leaf (or
-        # the end itself)
-        self.end, self.raw_end = (sub.a, sub.lo) if step < 0 else (sub.b, sub.hi)
-        self._doubled: dict[int, bool] = {}
-
-    def leaves(self, p: int) -> int:
-        """Leaves at spine position p, the run end folded onto the far end
-        included."""
-        return self.live(p) + (p == self.end != self.raw_end)
-
-    def pieces(self, start: int) -> Iterator[tuple[int, int, int]]:
-        """(near, far, cut) spine positions of each piece from a fresh start,
-        in cut order; the last piece also takes the live run after its cut,
-        up to the end."""
-        return _endpoint_pieces(self.leaves, start, self.step, self.k, self.end)
-
-    def doubled_from(self, start: int) -> bool:
-        """Does a piece from `start` (which has a first cut) hold two or
-        more tokens?"""
-        memo = self._doubled
+        end, raw_end = (sub.a, sub.lo) if step < 0 else (sub.b, sub.hi)
+        key = (sub.ranks, step, end, raw_end, sub.dl)
+        memo = self._doubled.get(key)
+        if memo is None:
+            memo = self._doubled[key] = {}
         passed: list[int] = []
-        for near, far, _ in self.pieces(start):
+        for near, far, _ in _endpoint_pieces(sub.count, start, step, self.k, end):
             if near in memo:
                 found = memo[near]
                 break
-            if self.tokens(near, far) >= 2:
+            if _tokens(sub, near, far) >= 2:
                 found = memo[near] = True
                 break
             passed.append(near)
@@ -705,16 +674,12 @@ class _CutChain:
             memo[near] = found
         return found
 
-    def tokens(self, x: int, y: int, moved: tuple[tuple[int, int], ...] = ()) -> int:
-        """Tokens on spine positions x..y, in either order, and their leaves,
-        after the (position, +-1) changes in `moved`."""
-        x, y = min(x, y), max(x, y)
-        rx, ry = x, y
-        if self.end in (x, y):  # the folded run end counts with the end
-            rx, ry = min(rx, self.raw_end), max(ry, self.raw_end)
-        n = _bits(self.tok, self.first[rx], self.spine[ry] + 1).bit_count()
-        n += sum(delta for p, delta in moved if x <= p <= y)
-        return n
+
+def _tokens(sub: _Sub, x: int, y: int, moved: tuple[tuple[int, int], ...] = ()) -> int:
+    """Tokens on spine positions x..y, in either order, and their leaves,
+    after the (position, +-1) changes in `moved`."""
+    x, y = min(x, y), max(x, y)
+    return sub.span(x, y).bit_count() + sum(delta for p, delta in moved if x <= p <= y)
 
 
 def can_feed_region(
@@ -725,11 +690,12 @@ def can_feed_region(
     v: VertexId,
 ) -> bool:
     ctx = _RigidityContext(forest, tokens)
-    ranks = forest.component_of(u)._canonical._ranks
-    sub = _Sub.whole(ranks, ctx.mask(ranks))
-    m = sub.locate(ranks.rank[u])[0]
-    window = [sub.locate(ranks.rank[x])[0] for x in region.vertices]
-    return ctx.can_feed(sub, m, min(window), max(window), ranks.rank[v])
+    sub, m = _whole_spine_vertex(forest, tokens, u)
+    rank = sub.ranks.rank
+    if v not in tokens or v not in rank:
+        raise InputError(f"{v} is not occupied in the component of {u}")
+    window = [sub.locate(rank[x])[0] for x in region.vertices]
+    return ctx.can_feed(sub, m, min(window), max(window), rank[v])
 
 
 def is_rigid(forest: CaterpillarForest, tokens: TokenSet, u: VertexId) -> RigidDecision:

@@ -535,6 +535,13 @@ class TestConstructSi:
         with pytest.raises(LogicError):
             construct_si(PATH5, toks(4, "s3", "s5"), toks(4, "s2", "s5"), 1)
 
+    @pytest.mark.parametrize("which", ["current", "target"])
+    def test_rejects_unknown_vertex(self, which):
+        covers = {"current": toks(4, "s2", "s4"), "target": toks(4, "s2", "s5")}
+        covers[which] = toks(4, "s2", "s9")
+        with pytest.raises(InputError, match="unknown vertex s9"):
+            construct_si(PATH5, covers["current"], covers["target"], 2)
+
 
 # Reproducers of the engine's known defects past the exhaustive family
 # (ROADMAP item 1).  Each test states the correct behaviour and is expected

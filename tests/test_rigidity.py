@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from kpvcr import (
     Caterpillar,
     CaterpillarForest,
+    GenerateConfig,
     InputError,
     TokenSet,
     UnsupportedParameterError,
@@ -22,18 +23,22 @@ from kpvcr import (
     anchor_set,
     can_feed_region,
     classify_k_paths,
+    enumerate_caterpillars,
+    enumerate_kpvcs,
     find_h_regions,
     is_rigid,
+    is_ts_reachable,
+    minimum_cover_size,
     oracle_rigid_set,
     partition,
+    random_instance,
     rigid_set,
 )
 from kpvcr._kpaths import PathCoverContext, slide_ok
-from kpvcr.cover import _partition_greedy
+from kpvcr.cover import _endpoint_pieces, _partition_greedy
 from kpvcr.rigidity import (
     _check_window,
     _classify,
-    _CutChain,
     _h2_witness,
     _RigidityContext,
     _Sub,
@@ -138,25 +143,24 @@ class TestFindHRegions:
             cover = set(partition(comp, k, comp.spine[rng.randrange(ell)]).representatives)
             cover |= set(rng.sample(sorted(G.vertices), rng.randint(0, 3)))
             occ = frozenset(cover)
-            comp = comp._canonical
             ranks = comp._ranks
-            sub = _Sub.whole(ranks, ranks.mask_of(occ))
+            sub = _Sub(ranks, 0, len(ranks.spine) - 1, 0, ranks.mask_of(occ))
+
+            def vertices(i):
+                """Spine position i of the folded component, leaves too."""
+                return [ranks.order[x] for x in [ranks.spine[i]] + sub.leaves(i)]
+
             for u in sorted(occ):
                 m, leaf = sub.locate(ranks.rank[u])
                 if leaf:
                     continue
                 for a in range(max(sub.a, m - (2 * k - 2)), m + 1):
                     for b in range(m, min(sub.b, a + 2 * k - 2) + 1):
-                        window = frozenset(
-                            x for i in range(a, b + 1) for x in (comp.spine[i],) + comp.leaves[i]
-                        )
+                        window = frozenset(x for i in range(a, b + 1) for x in vertices(i))
                         free = all(
-                            x not in occ
-                            for i in range(a, b + 1)
-                            if i != m
-                            for x in (comp.spine[i],) + comp.leaves[i]
+                            x not in occ for i in range(a, b + 1) if i != m for x in vertices(i)
                         )
-                        cls = _classify(comp, occ, u, m, k, window)
+                        cls = _classify(sub, occ, u, m, k, window)
                         want = free and _h2_witness(cls, u, k) is not None
                         assert _check_window(sub, m, k, a, b) == want
 
@@ -193,6 +197,28 @@ class TestCanFeedRegion:
         with pytest.raises(UnsupportedParameterError):
             (reg,) = find_h_regions(FIG1, toks(3, "s3"), _v("s3"))
             can_feed_region(FIG1, toks(3, "s3"), _v("s3"), reg, _v("s1"))
+
+    @pytest.mark.parametrize(
+        "u, v, message",
+        [
+            ("s5", "s12", "s12 is not occupied"),
+            ("s5", "s2", "s2 is not occupied in the component of s5"),
+            ("s3", "s1", "s3 is not occupied"),
+            ("l1.1", "s1", "l1.1 is a leaf"),
+        ],
+    )
+    def test_bad_arguments_are_input_errors(self, u, v, message):
+        (reg,) = find_h_regions(NINE, NINE_COVER, _v("s5"))
+        cover = toks(4, "s1", "s5", "s9", "l1.1") if u == "l1.1" else NINE_COVER
+        with pytest.raises(InputError, match=message):
+            can_feed_region(NINE, cover, _v(u), reg, _v(v))
+
+    def test_anchor_in_another_component(self):
+        G = cat(11, {1: 1, 9: 1}).delete([_v("s10")])
+        cover = toks(4, "s1", "s5", "s9", "s11")
+        (reg,) = find_h_regions(G, cover, _v("s5"))
+        with pytest.raises(InputError, match="s11 is not occupied in the component of s5"):
+            can_feed_region(G, cover, _v("s5"), reg, _v("s11"))
 
 
 class TestIsRigid:
@@ -243,10 +269,11 @@ class TestRigidSet:
 class TestSlideOk:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_path_cover_context(self, seed):
-        """The engine's slide test (`_kpaths.slide_ok` on the base
-        component and the query's token mask) against the bitmask test over
-        the enumerated k-paths through the token, for every spine token and
-        free neighbour of whole components."""
+        """The engine's slide test (`_kpaths.slide_ok` on the component's
+        own ranks, which the engine reads, and the query's token mask)
+        against the bitmask test over the enumerated k-paths through the
+        token, for every spine token and free neighbour of whole
+        components, leafless spine ends included."""
         rng = random.Random(seed)
         for _ in range(12):
             ell = rng.randint(6, 60)
@@ -258,8 +285,8 @@ class TestSlideOk:
             paths = PathCoverContext(G, k)
             mask = paths.mask_of(occ)
             ctx = _RigidityContext(G, TokenSet(occ, k))
-            ranks = G.components[0]._canonical._ranks
-            sub = _Sub.whole(ranks, ctx.mask(ranks))
+            ranks = G.components[0]._ranks
+            sub = _Sub(ranks, 0, len(ranks.spine) - 1, 0, ctx.mask(ranks))
             for u in sorted(occ):
                 m, leaf = sub.locate(ranks.rank[u])
                 if leaf:
@@ -277,11 +304,12 @@ class TestCutChain:
     tokens, cuts out a spine run as if its two neighbours were deleted, and
     deletes some leaf tokens inside it, so run ends fold and leaf bits
     change.  From every start short of the near spine end, in both
-    directions, the walk must cut exactly the pieces the generic
-    deepest-first greedy cuts on the same sub-spine rooted at its far end,
-    and agree on (psi, some piece holds >= 2 tokens), memoised or not.
-    `partition` rooted there walks `cover._endpoint_pieces`, the very
-    generator the chain returns, so it would not be an independent
+    directions, the walk (`cover._endpoint_pieces` over `_Sub.count`) must
+    cut exactly the pieces the generic deepest-first greedy cuts on the
+    same sub-spine rooted at its far end, and agree on (psi, some piece
+    holds >= 2 tokens) by `_Sub.span` popcounts and by the memoised
+    `_RigidityContext.doubled_from`.  `partition` rooted there walks
+    `cover._endpoint_pieces` too, so it would not be an independent
     reference.
     """
 
@@ -294,7 +322,7 @@ class TestCutChain:
         counts = {i: rng.randint(1, 3) for i in range(1, spine_len + 1) if rng.random() < prob}
         G = CaterpillarForest.from_counts(spine_len, counts)
         occupied = frozenset(v for v in sorted(G.vertices) if rng.random() < 0.3)
-        comp = G.components[0]._canonical
+        comp = G.components[0]
         ranks = comp._ranks
         ell = len(comp.spine)
         # runs ending on a leafless position fold that end in; odd seeds
@@ -321,32 +349,83 @@ class TestCutChain:
                 v for i in range(min(x, y), max(x, y) + 1) for v in (comp.spine[i],) + leaves(i)
             )
 
-        # one chain per direction, visited from shuffled starts, so the
-        # memoised answers are reused across starts
-        chains = {step: _CutChain(sub, step, k) for step in (-1, 1)}
+        def count(x, y):
+            return sub.span(min(x, y), max(x, y)).bit_count()
+
+        # one context, visited from shuffled starts, so the memoised
+        # answers are reused across starts
+        ctx = _RigidityContext(G, TokenSet(occupied, k))
         starts = [(i, step) for i in range(sub.a, sub.b + 1) for step in (-1, 1)]
         rng.shuffle(starts)
         for start, step in starts:
-            chain = chains[step]
+            end = sub.a if step < 0 else sub.b
             if start == (sub.b if step < 0 else sub.a):
                 continue  # the feed test starts short of the near spine end
-            got = list(chain.pieces(start))
-            span = sorted((start, chain.end))
+            got = list(_endpoint_pieces(sub.count, start, step, k, end))
+            span = sorted((start, end))
             hv = Caterpillar(
                 tuple(comp.spine[i] for i in range(span[0], span[1] + 1)),
                 tuple(leaves(i) for i in range(span[0], span[1] + 1)),
             )
-            want = _partition_greedy(hv, k, comp.spine[chain.end])
+            want = _partition_greedy(hv, k, comp.spine[end])
             assert [comp.spine[c] for _, _, c in got] == list(want.representatives)
             assert [vertices(x, y) for x, y, _ in got] == list(want.pieces)
             doubled = any(len(piece & tokens) >= 2 for piece in want.pieces)
-            assert (len(got), any(chain.tokens(x, y) >= 2 for x, y, _ in got)) == (
+            assert (len(got), any(count(x, y) >= 2 for x, y, _ in got)) == (
                 want.psi,
                 doubled,
             )
-            assert chain.tokens(*span) == len(vertices(*span) & tokens)
+            assert count(*span) == len(vertices(*span) & tokens)
             if got:
-                assert chain.doubled_from(start) == doubled
+                assert ctx.doubled_from(sub, start, step) == doubled
+
+
+class TestOwnRanks:
+    """The engine reads each component's own vertex table and folds a
+    leafless spine end itself (`_Sub`); it never builds the canonical copy
+    of a component, and its answers do not depend on the presentation."""
+
+    def test_same_answers_on_the_canonical_presentation(self):
+        covers = 0
+        for G in enumerate_caterpillars(5, 2):
+            got = []
+            for k in (3, 4, 5):
+                psi = minimum_cover_size(G, k)
+                for size in range(psi, min(G.n, psi + 1) + 1):
+                    for cover in sorted(enumerate_kpvcs(G, k, size), key=_cover_key):
+                        got.append((k, cover, _answers(G, cover)))
+            comp = G.components[0]
+            assert "_canonical_other" not in comp.__dict__
+            canon = G.canonical()
+            for k, cover, answers in got:
+                assert _answers(canon, cover) == answers, (comp, k, sorted(cover.occupied))
+            covers += len(got)
+        assert covers == 15482
+
+    def test_decide_builds_no_canonical_copy(self):
+        inst = random_instance(GenerateConfig(spine=4000, leaf_prob=0.4, k=5, seed=2))
+        G = inst.forest()
+        (comp,) = G.components
+        assert not comp.leaves[0] or not comp.leaves[-1]
+        start, target = (TokenSet(frozenset(c), 5) for c in (inst.start, inst.target))
+        assert is_ts_reachable(G, start, target)
+        assert "_canonical_other" not in comp.__dict__
+
+
+def _cover_key(cover):
+    return sorted(v.sort_key for v in cover.occupied)
+
+
+def _answers(G, cover):
+    """rigid_set's rationale (k >= 4), and find_h_regions at every token or
+    the error it raises there (a leaf token, a folded spine end too)."""
+    regions = {}
+    for u in sorted(cover.occupied):
+        try:
+            regions[u] = find_h_regions(G, cover, u)
+        except InputError as exc:
+            regions[u] = str(exc)
+    return (rigid_set(G, cover).rationale if cover.k >= 4 else None), regions
 
 
 class TestDeepChains:
