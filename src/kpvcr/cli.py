@@ -31,8 +31,15 @@ K3_REASON = (
 )
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # `check` reads two files: name this one
+        raise InputError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
+
 def _load(path: str) -> InstanceFile:
-    return parse_instance(Path(path).read_text())
+    return parse_instance(_read(path))
 
 
 def _require_k4(instance: InstanceFile) -> None:
@@ -75,7 +82,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     instance = _load(args.instance)
     forest = instance.forest()
-    moves = parse_witness(Path(args.witness).read_text())
+    moves = parse_witness(_read(args.witness))
     seq = TsSequence(instance.start_tokens(), moves)
     try:
         ok = validate_sequence(forest, instance.k, seq)
@@ -192,8 +199,8 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InputError, UnsupportedParameterError, OSError, UnicodeDecodeError) as exc:
-        # an unreadable or non-UTF-8 file is an input error too
+    except (InputError, UnsupportedParameterError, OSError) as exc:
+        # an unreadable file is an input error too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LogicError as exc:

@@ -41,6 +41,8 @@ class TokenSet:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise InputError("k must be >= 2")
+        if not isinstance(self.occupied, frozenset):
+            raise InputError("occupied must be a frozenset; use TokenSet.of(k, vertices)")
 
     @classmethod
     def of(cls, k: int, vertices: Iterable[VertexId]) -> "TokenSet":

@@ -12,9 +12,10 @@ pushes tokens rightward, lifts leaf tokens through their spine vertex with
 a left-cascade to make room, and may temporarily displace already-settled
 tokens; displaced settle targets are reopened and refilled before the
 routine returns, which keeps the sorted-suffix invariant that the literal
-push loop alone would lose.
+push loop alone would lose.  Tokens on a component that holds no k-path,
+where any token set is a cover, walk freely instead (`_Router.walk_free`).
 
-The routing works on the component's routing ranks (`Caterpillar._ranks`,
+All routing works on the component's routing ranks (`Caterpillar._ranks`,
 its one vertex table): rank order is the caterpillar order, occupancy is
 an int over ranks, and every spine token's slide goes through
 `_kpaths.slide_ok`, the test the generator and the rigidity engine use.  A
@@ -154,7 +155,9 @@ def build_sequence(forest: CaterpillarForest, I: TokenSet, J: TokenSet) -> TsSeq
             if _signature(rest, cov, I.k)[1]:
                 raise LogicError("rigid token survived the reduction")
         if comp.longest_path_vertices() < I.k:
-            moves.extend(_route_unconstrained(comp, ic, jc))
+            router = _Router(comp._ranks, I.k, ic)
+            router.walk_free(comp._ranks.mask_of(jc))
+            moves.extend(router.vertex_moves())
         else:
             moves.extend(_plan_component(comp, ic, jc, I.k))
     return TsSequence(I, tuple(moves))
@@ -291,7 +294,7 @@ class _Router:
     """One cover's routing on a component: occupancy as an int over the
     component's routing ranks, the slides made so far as rank pairs, and
     the frontier `blocked` of spine tokens that cannot move right now.
-    Each routing step below makes one slide (a cascade several) and says
+    Each step `settle` takes makes one slide (a cascade several) and says
     whether it moved."""
 
     def __init__(self, ranks: Ranks, k: int, cover: frozenset[VertexId]):
@@ -483,53 +486,39 @@ class _Router:
                 return self.displace(q, spine[i + 1])
         return False
 
+    def walk_free(self, target: int) -> None:
+        """Route to `target` on a component that holds no k-path.  Peel tree
+        leaves, positions from last to first, each its leaves by descending
+        rank and then its spine vertex: a peeled target takes the nearest
+        token, a peeled stray token goes to the nearest free vertex, the
+        tokens between stepping on."""
+        spine, first = self.ranks.spine, self.ranks.first
+        peel = []
+        for p in reversed(range(len(spine))):
+            peel += [*range(spine[p] - 1, first[p] - 1, -1), spine[p]]
+        for w in peel:
+            want = target >> w & 1
+            if want != self.occ >> w & 1:
+                path = self.nearest(w, self.occ if want else ~self.occ)
+                for frm, to in zip(path, path[1:]) if want else zip(path[1:], path):
+                    self.slide(frm, to)
 
-def _route_unconstrained(
-    comp: Caterpillar, ic: frozenset[VertexId], jc: frozenset[VertexId]
-) -> list[Move]:
-    """Routing when the component carries no k-path: any token set is a
-    valid cover, so tokens walk freely.  Peel tree leaves one at a time,
-    filling targets from the nearest token and pushing stray tokens inward."""
-    rank = comp._ranks.rank
-    adj = {v: set(comp.neighbors(v)) for v in comp.all_vertices()}
-    remaining = set(adj)
-    occ = set(ic)
-    targets = set(jc)
-    moves: list[Move] = []
-
-    def bfs_path(src: VertexId, stop) -> list[VertexId]:
-        seen = {src: None}
-        queue = [src]
-        for v in queue:
-            for w in sorted(adj[v] & remaining):
-                if w in seen:
-                    continue
-                seen[w] = v
-                if stop(w):
-                    path = [w]
-                    while seen[path[-1]] is not None:
-                        path.append(seen[path[-1]])
-                    return path[::-1]
-                queue.append(w)
+    def nearest(self, w: int, cand: int) -> list[int]:
+        """The path to the peeled vertex w from the first unpeeled vertex
+        in `cand` (never w), searching w's spine vertex, then rank blocks
+        spine[q - 1]..spine[q] - 1 (a spine vertex, the unpeeled leaves
+        right of it) for q from w's position down, then position 0's leaves:
+        breadth-first from w over neighbours in id order, while ids run in
+        caterpillar order (`from_counts`, parsing, `delete` and `canonical()`
+        keep it).  The vertices between were searched and missed."""
+        pos, spine = self.ranks.pos, self.ranks.spine
+        p = pos[w]
+        # p's unpeeled leaves: below a leaf w, none once p's spine vertex is peeled
+        top = w if w != spine[p] else self.ranks.first[p]
+        lows = [*reversed(spine[:p]), 0]
+        for lo, hi in [(spine[p], spine[p] + 1), *zip(lows, [top, *lows])]:
+            hit = cand >> lo & ((1 << (hi - lo)) - 1)
+            if hit:
+                v = lo + (hit & -hit).bit_length() - 1
+                return list(dict.fromkeys((v, *spine[pos[v] : p + 1], w)))
         raise LogicError("free-routing search failed")
-
-    while remaining:
-        w = max(
-            (v for v in remaining if len(adj[v] & remaining) <= 1),
-            key=rank.__getitem__,
-        )
-        if w in targets:
-            if w not in occ:
-                path = bfs_path(w, lambda v: v in occ)
-                for i in range(len(path) - 1, 0, -1):
-                    moves.append((path[i], path[i - 1]))
-                occ.discard(path[-1])
-                occ.add(w)
-        elif w in occ:
-            path = bfs_path(w, lambda v: v not in occ)
-            for i in range(len(path) - 2, -1, -1):
-                moves.append((path[i], path[i + 1]))
-                occ.discard(path[i])
-                occ.add(path[i + 1])
-        remaining.discard(w)
-    return moves

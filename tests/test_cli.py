@@ -101,14 +101,16 @@ class TestDecide:
     @pytest.mark.parametrize("which", ["instance", "witness"])
     def test_non_utf8_file(self, yes_file, tmp_path, capsys, which):
         """Undecodable bytes are an input error (exit 2), not a traceback
-        with exit 1, which would read as NO or INVALID."""
+        with exit 1, which would read as NO or INVALID.  The message names
+        the file, since `check` reads two."""
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"\xff\xfe")
         argv = ["decide", str(bad)] if which == "instance" else ["check", yes_file, str(bad)]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:")
+        assert captured.err.startswith(f"error: {bad}:")
+        assert yes_file not in captured.err
 
     @pytest.mark.parametrize(
         "sizes", ["spine 1000000000", "spine 5\nleaves 1=1000000000"]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpvcr import InputError, TokenSet, VertexId, is_kpvc, minimum_cover_size, partition
+from kpvcr import InputError, S, TokenSet, VertexId, is_kpvc, minimum_cover_size, partition
 from kpvcr.cover import _partition_greedy
 
 from conftest import cat, caterpillars, toks
@@ -161,6 +161,13 @@ class TestTokenSet:
     def test_small_k_rejected(self):
         with pytest.raises(InputError):
             TokenSet.of(1, [])
+
+    @pytest.mark.parametrize("occupied", [(S(2), S(4)), [S(2), S(4)], {S(2), S(4)}])
+    def test_occupied_must_be_a_frozenset(self, occupied):
+        """Any other iterable was accepted and later failed with a
+        TypeError in the planner (`occupied - rigid`)."""
+        with pytest.raises(InputError, match=r"TokenSet\.of"):
+            TokenSet(occupied, 4)
 
     def test_contains_and_len(self):
         t = toks(4, "s1", "l2.1")

@@ -10,10 +10,16 @@ and without scrambling; the benchmark draws its instances through
 `test_long_spine_witness_digest` digests witnesses on `kpvcr gen` spines of
 1,000-5,000 vertices whose rigid set is empty, so one router walks the
 whole caterpillar for hundreds or thousands of moves.
+`test_path_free_witness_digest` digests witnesses on every caterpillar of
+`enumerate_caterpillars(5, 3)` with k one above its longest path, where
+every token set is a cover and every component is routed as one that
+holds no k-path.
 
 The digests were recorded from the planner and generator that tested each
 slide against whole-forest k-path bitmasks (`_kpaths.PathCoverContext`);
-any slide test must reproduce them exactly.
+any slide test must reproduce them exactly.  The path-free digest was
+recorded from the planner that routed such components by breadth-first
+search over vertex ids.
 """
 
 from __future__ import annotations
@@ -30,8 +36,10 @@ from kpvcr import (
     build_sequence,
     random_instance,
     reachability_signature,
+    validate_sequence,
 )
 from kpvcr.instance import render_witness
+from kpvcr.oracle import enumerate_caterpillars
 
 
 def _digest(lines: list[str]) -> str:
@@ -106,6 +114,26 @@ def test_long_spine_witness_digest(case):
     assert not reachability_signature(forest, I)[1]
     lines = [render_witness(build_sequence(forest, a, b).moves) for a, b in ((I, J), (J, I))]
     assert _digest(lines) == LONG_SPINE_DIGESTS[case]
+
+
+# spine 2-5, 0-3 leaves per vertex, two random pairs per size 0..n:
+# 18,480 witnesses
+PATH_FREE_DIGEST = "f8130f25bdf3d839"
+
+
+def test_path_free_witness_digest():
+    rng = random.Random(1313)
+    lines = []
+    for G in enumerate_caterpillars(5, 3):
+        k = max(4, G.longest_path_vertices() + 1)
+        verts = sorted(G.vertices)
+        for size in range(G.n + 1):
+            for _ in range(2):
+                I, J = (TokenSet(frozenset(rng.sample(verts, size)), k) for _ in range(2))
+                seq = build_sequence(G, I, J)
+                assert validate_sequence(G, k, seq) and seq.end == J
+                lines.append(render_witness(seq.moves))
+    assert _digest(lines) == PATH_FREE_DIGEST
 
 
 def _render_configs(k: int) -> list[GenerateConfig]:

@@ -6,6 +6,7 @@ search over whole cover configurations (oracle module).
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from kpvcr import (
     CaterpillarForest,
     GenerateConfig,
     InputError,
+    L,
     LogicError,
     TokenSet,
     TsSequence,
@@ -475,6 +477,100 @@ class TestBuildSequenceLinear:
                     assert router.occ >> r & 1 and not router.can_slide(i, spine[i + 1])
                     kept += 1
         assert kept > 10_000
+
+
+def _bfs_walk(comp, ic, jc):
+    """The reference for `_Router.walk_free`: peel tree leaves, the highest
+    rank that has at most one unpeeled neighbour first, and walk tokens
+    along breadth-first paths over unpeeled vertices, neighbours in id
+    order."""
+    rank = comp._ranks.rank
+    adj = {v: set(comp.neighbors(v)) for v in comp.all_vertices()}
+    remaining, occ, moves = set(adj), set(ic), []
+
+    def path_to(src, stop):
+        """The path from the first vertex found with stop(v) back to src."""
+        parent, queue = {src: None}, [src]
+        for v in queue:
+            for w in sorted(adj[v] & remaining):
+                if w not in parent:
+                    parent[w] = v
+                    if stop(w):
+                        path = [w]
+                        while parent[path[-1]] is not None:
+                            path.append(parent[path[-1]])
+                        return path
+                    queue.append(w)
+        raise AssertionError("no vertex found")
+
+    while remaining:
+        w = max((v for v in remaining if len(adj[v] & remaining) <= 1), key=rank.__getitem__)
+        if (w in jc) != (w in occ):
+            fill = w in jc
+            path = path_to(w, (lambda v: v in occ) if fill else (lambda v: v not in occ))
+            for frm, to in zip(path, path[1:]) if fill else zip(path[1:], path):
+                moves.append((frm, to))
+                occ.remove(frm)
+                occ.add(to)
+        remaining.remove(w)
+    return moves
+
+
+def _walk_free(comp, ic, jc):
+    router = _Router(comp._ranks, 4, ic)
+    router.walk_free(comp._ranks.mask_of(jc))
+    return router.vertex_moves()
+
+
+class TestWalkFree:
+    """Components that hold no k-path, where every token set is a cover."""
+
+    def test_matches_breadth_first_reference(self):
+        """Equal moves on every component of random caterpillars after
+        random deletions, raw and canonical: ids stay in caterpillar order
+        there, which the closed form's tie-breaks need."""
+        rng = random.Random(13)
+        compared = 0
+        for _ in range(1000):
+            spine = rng.randint(1, 12)
+            G = cat(spine, {i: rng.randint(0, 4) for i in range(1, spine + 1)})
+            G = G.delete(rng.sample(sorted(G.vertices), rng.randint(0, G.n // 2)))
+            for comp in G.components + G.canonical().components:
+                verts = list(comp.all_vertices())
+                size = rng.randint(0, len(verts))
+                ic, jc = (frozenset(rng.sample(verts, size)) for _ in range(2))
+                assert _walk_free(comp, ic, jc) == _bfs_walk(comp, ic, jc), (comp, ic, jc)
+                compared += 1
+        assert compared > 7000
+
+    def test_any_ids_give_a_witness(self):
+        """With ids out of caterpillar order the tie-breaks differ from
+        the reference, but every slide is still onto a free vertex."""
+        rng = random.Random(14)
+        for _ in range(200):
+            m = rng.randint(1, 5)
+            ids = rng.sample(range(1, 60), m)
+            spine = tuple(S(i) for i in ids)
+            leaves = tuple(
+                tuple(L(i, j) for j in rng.sample(range(1, 9), rng.randint(0, 3))) for i in ids
+            )
+            G = CaterpillarForest.single(Caterpillar(spine, leaves))
+            k = max(4, G.longest_path_vertices() + 1)
+            verts = sorted(G.vertices)
+            size = rng.randint(0, G.n)
+            I, J = (TokenSet(frozenset(rng.sample(verts, size)), k) for _ in range(2))
+            seq = build_sequence(G, I, J)
+            assert validate_sequence(G, k, seq) and seq.end == J
+
+    def test_star_routes_in_closed_form(self):
+        """On a 20,002-vertex star one token walks leaf to leaf in three
+        moves.  A breadth-first search per peeled vertex took minutes."""
+        G = cat(2, {1: 10_000, 2: 10_000})
+        t0 = time.perf_counter()
+        seq = build_sequence(G, toks(5, "l1.1"), toks(5, "l2.10000"))
+        elapsed = time.perf_counter() - t0
+        assert seq.moves == _mv(("l1.1", "s1"), ("s1", "s2"), ("s2", "l2.10000"))
+        assert elapsed < 5, elapsed
 
 
 class TestBuildSequence:
