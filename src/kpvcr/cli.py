@@ -1,9 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 for YES / valid output, 1 for NO / invalid, 2 for input
-errors (bad files, unsupported k), 3 for resource limits, 4 for an internal
-error (a `LogicError`: a broken invariant, such as the planner failing to
-route a YES instance), so that a crash never reads as NO or INVALID.
+errors (bad files, unsupported k), 3 for resource limits (the oracle's
+state cap, or running out of memory), 4 for an internal error (a
+`LogicError`: a broken invariant, such as the planner failing to route a
+YES instance), so that a crash never reads as NO or INVALID.
 """
 
 from __future__ import annotations
@@ -196,8 +197,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (InputError, UnsupportedParameterError, OSError) as exc:
         # an unreadable file is an input error too

@@ -132,7 +132,7 @@ def _partition_greedy(comp: Caterpillar, k: int, r: VertexId) -> PartitionResult
 
     pieces: list[frozenset[VertexId]] = []
     reps: list[VertexId] = []
-    scan = sorted(range(n), key=lambda i: (-depth[i], verts[i].sort_key))
+    scan = sorted(range(n), key=lambda i: (-depth[i], verts[i]))
     for i in scan:
         if not alive[i]:
             continue

@@ -3,9 +3,9 @@
 A caterpillar is a tree whose non-leaf vertices form a path (the spine).
 We keep the spine explicit: a component is a tuple of spine vertices plus,
 for each spine position, a tuple of attached leaves.  Vertex ids are
-structural ("s3", "l3.1") and survive deletions unchanged, which is what the
-reconfiguration layers need to talk about token positions across induced
-subgraphs.
+structural int pairs ("s3" is (3, 0), "l3.1" is (3, 1)) and survive
+deletions unchanged, which is what the reconfiguration layers need to talk
+about token positions across induced subgraphs.
 
 Deletion has induced-subgraph semantics: surviving vertices keep exactly the
 edges they had before, so deleting a spine vertex orphans its remaining
@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, total_ordering
-from operator import attrgetter
+from functools import cached_property
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InputError
@@ -39,43 +39,42 @@ from .errors import InputError
 _ID_RE = re.compile(r"^(?:s(\d+)|l(\d+)\.(\d+))$")
 
 
-@total_ordering
-@dataclass(frozen=True)
-class VertexId:
+class VertexId(tuple):
     """Structural vertex identity: spine vertex s<i> or leaf l<i>.<j>.
 
-    Ids order by (spine index, spine vertex before its leaves, leaf
-    index).  This is only a tie-break order; the routing order is
-    Caterpillar._ranks (see Ranks).
+    The id is the tuple (spine index, leaf index), leaf index 0 on a spine
+    vertex, so it equals and hashes like that pair in C, and tuple order is
+    the id order s_i < l_i.1 < l_i.2 < ... < s_{i+1}.  This is only a
+    tie-break order; the routing order is Caterpillar._ranks (see Ranks).
+    A bare id cannot be %-formatted; use str() or an f-string.
     """
 
-    kind: str  # "s" or "l"
-    spine_index: int
-    leaf_index: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("s", "l"):
-            raise InputError(f"bad vertex kind {self.kind!r}")
-        if self.kind == "s" and self.leaf_index != 0:
+    def __new__(cls, kind: str, spine_index: int, leaf_index: int = 0) -> "VertexId":
+        if kind not in ("s", "l"):
+            raise InputError(f"bad vertex kind {kind!r}")
+        if kind == "s" and leaf_index != 0:
             raise InputError("spine vertex cannot carry a leaf index")
-        if self.spine_index < 1 or (self.kind == "l" and self.leaf_index < 1):
-            raise InputError(f"vertex indices are 1-based: {self}")
-        object.__setattr__(
-            self, "_hash", hash((self.kind, self.spine_index, self.leaf_index))
-        )
-        object.__setattr__(
-            self,
-            "_sort_key",
-            (self.spine_index, 0 if self.kind == "s" else 1, self.leaf_index),
-        )
+        if spine_index < 1 or (kind == "l" and leaf_index < 1):
+            where = f"{spine_index}.{leaf_index}" if kind == "l" else spine_index
+            raise InputError(f"vertex indices are 1-based: {kind}{where}")
+        return tuple.__new__(cls, (spine_index, leaf_index))
 
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+    def __getnewargs__(self) -> tuple[str, int, int]:
+        return (self.kind, *self)
+
+    @property
+    def kind(self) -> str:
+        return "l" if self[1] else "s"
+
+    spine_index = property(itemgetter(0))
+    leaf_index = property(itemgetter(1))
+    sort_key = property(tuple)  # the plain (spine index, leaf index) pair
 
     def __str__(self) -> str:
-        if self.kind == "s":
-            return f"s{self.spine_index}"
-        return f"l{self.spine_index}.{self.leaf_index}"
+        i, j = self
+        return f"l{i}.{j}" if j else f"s{i}"
 
     def __repr__(self) -> str:
         return f"VertexId({str(self)!r})"
@@ -88,13 +87,6 @@ class VertexId:
         if m.group(1) is not None:
             return cls("s", int(m.group(1)))
         return cls("l", int(m.group(2)), int(m.group(3)))
-
-    @property
-    def sort_key(self) -> tuple[int, int, int]:
-        return self._sort_key  # type: ignore[attr-defined]
-
-    def __lt__(self, other: "VertexId") -> bool:
-        return self._sort_key < other._sort_key  # type: ignore[attr-defined]
 
 
 def S(i: int) -> VertexId:
@@ -158,7 +150,7 @@ class Caterpillar:
 
     @cached_property
     def _min_vertex(self) -> VertexId:
-        return min(self.all_vertices(), key=attrgetter("_sort_key"))
+        return min(self.all_vertices())
 
     @cached_property
     def _canonical_other(self) -> "Caterpillar | None":

@@ -223,7 +223,7 @@ def render_dot(instance: InstanceFile) -> str:
         spine_ids = " ".join(f'"{s}";' for s in comp.spine)
         out.append(f"  {{ rank=same; {spine_ids} }}")
     for v in sorted(forest.vertices):
-        attrs = ['label="%s"' % v]
+        attrs = [f'label="{v}"']
         if v in start:
             attrs.append("style=filled")
             attrs.append("fillcolor=black")

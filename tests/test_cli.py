@@ -181,6 +181,16 @@ class TestOracle:
         assert main(["oracle", yes_file, "--max-states", "1"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_out_of_memory_is_resource_error(self, yes_file, capsys, monkeypatch):
+        # the oracle packs every k-path of the forest into ints, so a large
+        # instance can exhaust memory; that must not read as NO (exit 1)
+        def exhaust(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("kpvcr.cli.oracle_reachable", exhaust)
+        assert main(["oracle", yes_file]) == 3
+        assert capsys.readouterr().err == "error: out of memory\n"
+
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_state_cap_below_one_is_input_error(self, yes_file, capsys, cap):
         # start differs from target, so a search would otherwise run

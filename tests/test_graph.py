@@ -5,7 +5,10 @@ the explicit adjacency list (breadth-first search, exhaustive simple-path
 enumeration), never from the functions under test.
 """
 
+import copy
 import gc
+import pickle
+import random
 import weakref
 
 import pytest
@@ -290,3 +293,39 @@ class TestVertexId:
     def test_rejects_malformed(self, bad):
         with pytest.raises(InputError):
             VertexId.parse(bad)
+
+    @pytest.mark.parametrize(
+        "args", [("x", 1), ("s", 1, 2), ("s", 0), ("l", 1), ("l", 1, 0), ("l", 0, 1)]
+    )
+    def test_constructor_rejects(self, args):
+        with pytest.raises(InputError):
+            VertexId(*args)
+
+    def test_order(self):
+        # s_i < l_i.1 < l_i.2 < ... < s_{i+1}, numerically, not by text
+        text = ("s1", "l1.1", "l1.2", "l1.10", "s2", "s9", "l9.3", "s10", "l10.1")
+        want = [VertexId.parse(x) for x in text]
+        shuffled = list(want)
+        random.Random(3).shuffle(shuffled)
+        assert sorted(shuffled) == want
+        assert sorted(shuffled, key=lambda v: v.sort_key) == want
+        assert all(a < b and b > a and a <= b and not b < a for a, b in zip(want, want[1:]))
+
+    def test_is_its_pair(self):
+        for v, kind, pair in ((VertexId("s", 3), "s", (3, 0)), (VertexId("l", 3, 2), "l", (3, 2))):
+            assert v == pair and hash(v) == hash(pair) and {pair: 1}[v] == 1
+            assert v.sort_key == pair and type(v.sort_key) is tuple
+            assert (v.kind, v.spine_index, v.leaf_index) == (kind, *pair)
+
+    def test_pickle_and_copy_roundtrip(self):
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        for v in vs("s4", "l4.7"):
+            pickled = [pickle.loads(pickle.dumps(v, p)) for p in protocols]
+            for back in (*pickled, copy.deepcopy(v), copy.copy(v)):
+                assert back == v and type(back) is VertexId
+                assert str(back) == str(v) and repr(back) == repr(v)
+
+    def test_comparisons_are_tuples_own(self):
+        # hashing, equality and order run in C: no Python-level method
+        for name in ("__eq__", "__ne__", "__hash__", "__lt__", "__le__", "__gt__", "__ge__"):
+            assert getattr(VertexId, name) is getattr(tuple, name), name

@@ -1,14 +1,18 @@
 """Instance and witness file formats."""
 
+import hashlib
+
 import pytest
 
 from kpvcr import (
     CaterpillarForest,
+    GenerateConfig,
     InstanceFile,
     InstanceFormatError,
     VertexId,
     parse_instance,
     parse_witness,
+    random_instance,
     render_dot,
     render_witness,
 )
@@ -167,3 +171,25 @@ class TestRenderDot:
         assert '"s1" -- "s2";' in dot
         # start tokens are highlighted
         assert dot.count("fillcolor=black") == 2
+
+    def test_digest(self):
+        # byte-for-byte: the paper's figure 1 and figure 3 instances (k = 3,
+        # as drawn there) and seeded `kpvcr gen` instances; recorded while
+        # vertex ids were a dataclass, so any id type must reproduce it
+        figures = [
+            "kpvcr 1\nk 3\nspine 5\nleaves 1=2 3=3 5=2\n"
+            "start s1 s3 s5 l3.1 l5.1 l5.2\ntarget s1 s3 s4 s5 l3.1 l3.2\n",
+            "kpvcr 1\nk 3\nspine 8\nleaves 1=2 6=3 8=1\n"
+            "start s1 s4 s6 l6.1 s7 s8\ntarget s1 s4 s6 l6.1 s7 s8\n",
+        ]
+        insts = [parse_instance(text) for text in figures] + [
+            random_instance(GenerateConfig(spine, prob, k, seed, scramble=seed % 2 == 1))
+            for spine, prob, k, seed in (
+                (6, 0.5, 4, 1),
+                (30, 0.4, 4, 2),
+                (80, 0.7, 5, 3),
+                (200, 0.2, 6, 4),
+            )
+        ]
+        text = "".join(render_dot(inst) for inst in insts)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "4cdbfe510443824b"
