@@ -17,6 +17,7 @@ import sys
 import time
 
 from kpvcr import (
+    LogicError,
     TokenSet,
     build_sequence,
     enumerate_caterpillars,
@@ -75,8 +76,15 @@ def main() -> int:
                     members = [TokenSet(occ, k) for occ in cls]
                     for I in members:
                         for J in members:
-                            seq = build_sequence(G, I, J)
                             pairs += 1
+                            try:
+                                seq = build_sequence(G, I, J)
+                            except LogicError as exc:
+                                bad_witnesses += 1
+                                print(f"WITNESS FAILED graph={G.components[0]} k={k} "
+                                      f"start={sorted(map(str, I.occupied))} "
+                                      f"target={sorted(map(str, J.occupied))}: {exc}")
+                                continue
                             if not (
                                 validate_sequence(G, k, seq)
                                 and seq.end.occupied == J.occupied

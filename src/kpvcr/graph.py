@@ -99,7 +99,10 @@ def L(i: int, j: int) -> VertexId:
 
 @dataclass(frozen=True)
 class Caterpillar:
-    """One caterpillar component: spine left to right, leaves per position."""
+    """One caterpillar component: spine left to right, leaves per position.
+    Its derived tables are cached_property values, computed on first use
+    into its own __dict__, which the field-based eq, hash and repr never
+    read, and gone with it."""
 
     spine: tuple[VertexId, ...]
     leaves: tuple[tuple[VertexId, ...], ...]
@@ -115,12 +118,6 @@ class Caterpillar:
                 raise InputError(f"duplicate vertex {v}")
             seen.add(v)
 
-    def __hash__(self) -> int:
-        # The hash and the derived tables below are cached_property values:
-        # computed on first use into this component's own __dict__, which
-        # the field-based eq and repr never read, and gone with it.
-        return self._hash
-
     def all_vertices(self) -> Iterator[VertexId]:
         for s, ls in zip(self.spine, self.leaves):
             yield s
@@ -129,10 +126,6 @@ class Caterpillar:
     @property
     def n(self) -> int:
         return len(self.spine) + sum(len(ls) for ls in self.leaves)
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.spine, self.leaves))
 
     @cached_property
     def _ranks(self) -> "Ranks":
@@ -255,13 +248,6 @@ class CaterpillarForest:
                     raise InputError(f"duplicate vertex {v} across components")
                 seen.add(v)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self.components)
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -365,8 +351,6 @@ class CaterpillarForest:
 
 
 def _delete_in_component(comp: Caterpillar, drop: frozenset[VertexId]) -> list[Caterpillar]:
-    if not drop:
-        return [comp]
     ranks = comp._ranks
     spine_cuts: list[int] = []
     leaf_posns: set[int] = set()

@@ -16,8 +16,9 @@ push loop alone would lose.  Tokens on a component that holds no k-path,
 where any token set is a cover, walk freely instead (`_Router.walk_free`).
 
 All routing works on the component's routing ranks (`Caterpillar._ranks`,
-its one vertex table): rank order is the caterpillar order, occupancy is
-an int over ranks, and every spine token's slide goes through
+its one vertex table): rank order is the caterpillar order, every token
+set the router keeps (occupancy, settled and blocked tokens) is an int over
+ranks, and every spine token's slide goes through
 `_kpaths.slide_ok`, the test the generator and the rigidity engine use.  A
 leaf token lifted onto its free spine vertex needs no test, because every
 k-path through a leaf passes its spine vertex.
@@ -188,7 +189,7 @@ def construct_si(
     if rigid_set(forest, current).rigid:
         raise LogicError("construct_si requires an empty rigid set")
     router = _Router(comp._ranks, current.k, current.occupied)
-    router.settle(rank[ys[i - 1]], {rank[y] for y in ys[i:]})
+    router.settle(rank[ys[i - 1]], comp._ranks.mask_of(ys[i:]))
     return TsSequence(current, tuple(router.vertex_moves()))
 
 
@@ -211,17 +212,17 @@ def validate_sequence(forest: CaterpillarForest, k: int, seq: TsSequence) -> boo
     except InputError:
         return False
     component = forest._component
-    tokens: dict[Caterpillar, list[VertexId]] = {}
+    tokens: dict[Ranks, list[VertexId]] = {}
     for v in seq.start.occupied:
-        tokens.setdefault(component[v], []).append(v)
-    occs = {comp: comp._ranks.mask_of(vs) for comp, vs in tokens.items()}
+        tokens.setdefault(component[v]._ranks, []).append(v)
+    occs = {ranks: ranks.mask_of(vs) for ranks, vs in tokens.items()}
     for frm, to in seq.moves:
         comp = component.get(frm)
         if comp is None or to not in comp._ranks.rank:
             return False
         ranks = comp._ranks
         r, w = ranks.rank[frm], ranks.rank[to]
-        occ = occs.get(comp, 0)
+        occ = occs.get(ranks, 0)
         if not occ >> r & 1 or occ >> w & 1:
             return False
         # adjacent: spine vertices one position apart, or a leaf and its
@@ -231,7 +232,7 @@ def validate_sequence(forest: CaterpillarForest, k: int, seq: TsSequence) -> boo
         on_spine = (spine[i] == r) + (spine[j] == w)
         if not (abs(i - j) == 1 if on_spine == 2 else on_spine == 1 and i == j):
             return False
-        occ = occs[comp] = occ ^ (1 << r | 1 << w)
+        occ = occs[ranks] = occ ^ (1 << r | 1 << w)
         if spine[i] == r and _free_run_path(ranks, occ, i, k) >= k:
             return False
     return True
@@ -261,13 +262,22 @@ def _free_leaves(ranks: Ranks, occ: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _members(occ: int) -> Iterator[int]:
-    """The set ranks of occ, ascending: C-speed scans of its digit string."""
-    digits = bin(occ)[:1:-1]  # digits[r] is bit r
-    r = digits.find("1")
-    while r >= 0:
-        yield r
-        r = digits.find("1", r + 1)
+def _members(mask: int) -> Iterator[int]:
+    """The set ranks of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _last_mismatch(x: int, y: int) -> tuple[int, int, int]:
+    """Where two covers of one size, as sorted rank lists, last differ:
+    their top differing rank h.  Above h the covers agree, so with equal
+    counts the side without a token on h holds its largest token below h at
+    that index.  Returns that side (0 for x, 1 for y), h, and the ranks
+    above h, which both hold."""
+    h = (x ^ y).bit_length() - 1
+    return x >> h & 1, h, x >> h + 1 << h + 1
 
 
 def _plan_component(
@@ -280,21 +290,17 @@ def _plan_component(
         guard += 1
         if guard > 8 * (len(ic) + 2):
             raise LogicError("planner did not converge on matched suffixes")
-        xs = list(_members(a.occ))
-        ys = list(_members(b.occ))
-        i = max(j for j in range(len(xs)) if xs[j] != ys[j])
-        if xs[i] < ys[i]:
-            a.settle(ys[i], set(ys[i + 1 :]))
-        else:
-            b.settle(xs[i], set(xs[i + 1 :]))
+        side, target, protected = _last_mismatch(a.occ, b.occ)
+        (a, b)[side].settle(target, protected)
     return a.vertex_moves() + [(to, frm) for frm, to in reversed(b.vertex_moves())]
 
 
 class _Router:
-    """One cover's routing on a component: occupancy as an int over the
-    component's routing ranks, the slides made so far as rank pairs, and
-    the frontier `blocked` of spine tokens that cannot move right now.
-    Each step `settle` takes makes one slide (a cascade several) and says
+    """One cover's routing on a component: the slides made so far as rank
+    pairs, and three token sets, each an int over the component's routing
+    ranks: the occupancy, the settled positions `protected`, and the
+    frontier `blocked` of spine tokens that cannot move right now.  Each
+    step `settle` takes makes one slide (a cascade several) and says
     whether it moved."""
 
     def __init__(self, ranks: Ranks, k: int, cover: frozenset[VertexId]):
@@ -303,16 +309,16 @@ class _Router:
         # spine tokens whose push-right test failed at this occupancy
         self.blocked = 0
         self.moves: list[tuple[int, int]] = []
-        self.protected: set[int] = set()
+        self.protected = 0
         self.stack: list[int] = []
 
     def vertex_moves(self) -> list[Move]:
         order = self.ranks.order
         return [(order[frm], order[to]) for frm, to in self.moves]
 
-    def settle(self, target: int, protected: set[int]) -> None:
+    def settle(self, target: int, protected: int) -> None:
         """Fill `target` (and any settle positions displaced along the way)
-        without permanently disturbing `protected` positions."""
+        without permanently disturbing the `protected` ranks."""
         self.protected = protected
         stack = self.stack = [target]
         cap = 8 * (len(self.ranks.order) + 4) ** 2
@@ -324,7 +330,7 @@ class _Router:
             y = stack[-1]
             if self.occ >> y & 1:
                 stack.pop()
-                protected.add(y)
+                self.protected |= 1 << y
                 continue
             # after make_room, the last resorts pull the steal source itself
             # one step left so support can regroup behind it, or raise a
@@ -369,8 +375,8 @@ class _Router:
     def reopen(self, q: int, next_: bool) -> None:
         """A slide vacated q: if it was settled, refill it next, or after
         every queued target."""
-        if q in self.protected:
-            self.protected.discard(q)
+        if self.protected >> q & 1:
+            self.protected ^= 1 << q
             if next_:
                 self.stack.append(q)
             else:
@@ -394,13 +400,7 @@ class _Router:
         (plus any cascade attempts of leaf tokens) instead of one test per
         token below y."""
         pos, spine = self.ranks.pos, self.ranks.spine
-        cand = self.occ & ~self.blocked & ((1 << y) - 1)
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            p = low.bit_length() - 1
-            if p in self.protected:
-                continue
+        for p in _members(self.occ & ~self.blocked & ~self.protected & ((1 << y) - 1)):
             i = pos[p]
             if p != spine[i]:
                 # a leaf lift needs no slide test
@@ -447,7 +447,7 @@ class _Router:
             return False
         self.slide(nbr, y)
         self.stack.pop()
-        self.protected.add(y)
+        self.protected |= 1 << y
         self.reopen(nbr, next_=True)
         return True
 
@@ -468,9 +468,11 @@ class _Router:
         >= from_pos back onto its free spine vertex so it can support a
         steal; the leaf is refilled afterwards."""
         pos, spine = self.ranks.pos, self.ranks.spine
-        for q in sorted(self.protected):
+        if from_pos == len(spine):
+            return False
+        for q in _members(self.protected & self.occ & -1 << self.ranks.first[from_pos]):
             sp = spine[pos[q]]
-            if q != sp and pos[q] >= from_pos and self.occ >> q & 1 and not self.occ >> sp & 1:
+            if q != sp and not self.occ >> sp & 1:
                 return self.displace(q, sp)
         return False
 
@@ -478,9 +480,9 @@ class _Router:
         """Deadlock breaker: slide the nearest blocking spine token (at or
         past y, or protected) one step right."""
         pos, spine = self.ranks.pos, self.ranks.spine
-        for q in _members(self.occ & ~self.blocked):
+        for q in _members(self.occ & ~self.blocked & (self.protected | -1 << y)):
             i = pos[q]
-            if q != spine[i] or (q < y and q not in self.protected) or i + 1 == len(spine):
+            if q != spine[i] or i + 1 == len(spine):
                 continue
             if self.push_ok(i):
                 return self.displace(q, spine[i + 1])

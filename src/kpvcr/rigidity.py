@@ -79,7 +79,9 @@ class PathClassification:
 @dataclass(frozen=True)
 class RigidDecision:
     rigid: bool
-    tag: str  # lemma-1a | lemma-1b | 4a | 4b1 | 4b2 | 4b3 | 4b4 | movable
+    # lemma-1a | lemma-1b | 4a | 4b2 | 4b3 | 4b4 | movable; case 4(b)(1),
+    # no H-region, answers movable
+    tag: str
 
     def __bool__(self) -> bool:
         return self.rigid

@@ -24,6 +24,7 @@ from kpvcr import (
     build_sequence,
     is_kpvc,
     is_ts_reachable,
+    parse_instance,
     partition,
     reachability_signature,
     rigid_set,
@@ -145,6 +146,32 @@ class TestCanonical:
     @settings(deadline=None, max_examples=60)
     def test_preserves_adjacency(self, G):
         assert _adj_oracle(G.canonical()) == _adj_oracle(G)
+
+
+class TestHashing:
+    """Components and forests built apart compare and hash by their fields."""
+
+    def test_equal_builds_hash_equal(self):
+        built = cat(4, {1: 1, 3: 2})
+        parsed = parse_instance(
+            "kpvcr 1\nk 4\nspine 4\nleaves 1=1 3=2\nstart s2\ntarget s2\n"
+        ).forest()
+        cut = cat(6, {1: 1, 3: 2, 6: 1}).delete(vs("s5", "s6", "l6.1"))
+        forests = (built, parsed, cut)
+        assert len({id(G) for G in forests}) == 3
+        for G in forests:
+            assert G == built and hash(G) == hash(built)
+            assert G.components[0] == built.components[0]
+            assert hash(G.components[0]) == hash(built.components[0])
+        assert {G: i for i, G in enumerate(forests)} == {built: 2}
+        assert {G.components[0]: i for i, G in enumerate(forests)} == {built.components[0]: 2}
+        assert {built: "x"}[cut] == "x" and {cut.components[0]: "y"}[parsed.components[0]] == "y"
+
+    def test_different_builds_differ(self):
+        G = cat(4, {1: 1, 3: 2})
+        for other in (cat(4, {1: 1, 3: 1}), cat(5, {1: 1, 3: 2}), G.delete(vs("l3.2"))):
+            assert other != G and other not in {G: 0}
+            assert other.components[0] not in {G.components[0]: 0}
 
 
 class TestRanks:

@@ -9,7 +9,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kpvcr import (
@@ -32,11 +32,12 @@ from kpvcr import (
     partition,
     random_instance,
     reachability_signature,
+    render_witness,
     validate_sequence,
 )
 
 from kpvcr._kpaths import slide_ok
-from kpvcr.planner import _Router
+from kpvcr.planner import _last_mismatch, _Router
 
 from conftest import cat, covered_instances, toks, vs
 
@@ -615,6 +616,85 @@ class TestBuildSequence:
         seq = build_sequence(G, I, J)
         assert validate_sequence(G, k, seq)
         assert seq.end.occupied == J.occupied
+
+
+# Pairs on which one of `_Router.settle`'s last resorts, `pull_left(i)` or
+# `unpark(i)` at the target's own position i, is what moves the routing on:
+# without the rung both raise LogicError.  The witnesses were recorded while
+# the router still kept its settled positions as a Python set.
+LAST_RESORTS = {
+    "pull_left": (
+        cat(6, {1: 1, 2: 2, 6: 1}),
+        ("l1.1", "l6.1", "s3"),
+        ("l2.2", "s2", "s6"),
+        "l1.1 s1|s1 s2|s3 s4|s4 s5|s5 s6|s6 s5|l6.1 s6|s5 s4|s6 s5|s4 s3|s5 s4|s2 s1"
+        "|s3 s2|s2 l2.2|s1 s2|s4 s5|s5 s6",
+        "s6 s5|s5 s4|s2 s1|l2.2 s2|s2 s3|s1 s2|s4 s5|s3 s4|s5 s6|s4 s5|s6 l6.1|s5 s6"
+        "|s6 s5|s5 s4|s4 s3|s2 s1|s1 l1.1",
+    ),
+    "unpark": (
+        cat(4, {1: 1, 2: 2, 3: 1}),
+        ("l3.1", "s1", "s4"),
+        ("l2.1", "s2", "s4"),
+        "s1 s2|s4 s3|s2 s1|s3 s2|l3.1 s3|s2 l2.1|s1 s2|s3 s4",
+        "s4 s3|s2 s1|l2.1 s2|s3 l3.1|s2 s3|s1 s2|s3 s4|s2 s1",
+    ),
+}
+
+
+class TestLastResorts:
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("rung", sorted(LAST_RESORTS))
+    def test_rung_fires_and_witness_is_pinned(self, monkeypatch, rung, backward):
+        G, start, target, *witnesses = LAST_RESORTS[rung]
+        I, J = toks(4, *start), toks(4, *target)
+        if backward:
+            I, J = J, I
+        orig = getattr(_Router, rung)
+        fired = []
+
+        def counting(self, from_pos):
+            moved = orig(self, from_pos)
+            # the last resort is the call at the target's own position
+            if moved and from_pos == self.ranks.pos[self.stack[-1]]:
+                fired.append(from_pos)
+            return moved
+
+        monkeypatch.setattr(_Router, rung, counting)
+        seq = build_sequence(G, I, J)
+        assert validate_sequence(G, 4, seq) and seq.end == J
+        want = witnesses[backward].split("|")
+        assert render_witness(seq.moves) == "".join(
+            f"{line}\n" for line in [f"witness {len(want)}", *(f"slide {m}" for m in want)]
+        )
+        assert fired
+
+
+class TestMatchedSuffix:
+    """`_plan_component` settles where the sorted covers last differ."""
+
+    @staticmethod
+    def _sorted_rule(x, y):
+        """The reference: compare the two covers as sorted rank lists."""
+        xs = [r for r in range(x.bit_length()) if x >> r & 1]
+        ys = [r for r in range(y.bit_length()) if y >> r & 1]
+        i = max(j for j in range(len(xs)) if xs[j] != ys[j])
+        if xs[i] < ys[i]:
+            return 0, ys[i], set(ys[i + 1 :])
+        return 1, xs[i], set(xs[i + 1 :])
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_top_differing_bit_matches_sorted_lists(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=90))
+        c = data.draw(st.integers(min_value=1, max_value=n - 1))
+        x, y = (
+            sum(1 << r for r in data.draw(st.sets(st.integers(0, n - 1), min_size=c, max_size=c)))
+            for _ in range(2)
+        )
+        assume(x != y)
+        side, target, protected = _last_mismatch(x, y)
+        assert (side, target, {r for r in range(n) if protected >> r & 1}) == self._sorted_rule(x, y)
 
 
 class TestConstructSi:
