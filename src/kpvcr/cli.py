@@ -14,17 +14,33 @@ import sys
 from pathlib import Path
 
 from .errors import InputError, LogicError, ResourceLimitError, UnsupportedParameterError
-from .generate import GenerateConfig, random_instance
 from .instance import (
     InstanceFile,
+    TsSequence,
     parse_instance,
     parse_witness,
     render_dot,
     render_witness,
+    validate_sequence,
 )
-from .oracle import DEFAULT_MAX_STATES, oracle_reachable
-from .planner import TsSequence, build_sequence, is_ts_reachable, validate_sequence
-from .rigidity import rigid_set
+
+# Every command reads instance files, so `errors` and `instance` load with
+# this module; each command imports the rest when it runs.  A `kpvcr` child
+# spends more time loading modules (compiling them, when bytecode is not
+# cached) than `check` spends working.
+
+
+def __getattr__(name: str):
+    """`kpvcr.cli.is_ts_reachable` and `.build_sequence` still resolve,
+    loading the planner only then.  The commands call both through
+    `planner`, looked up at call time, so a wrapper set on `kpvcr.planner`
+    sees every call."""
+    if name in ("is_ts_reachable", "build_sequence"):
+        from . import planner
+
+        return getattr(planner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 K3_REASON = (
     "deciding reachability for 3-path vertex covers on caterpillars is an "
@@ -57,10 +73,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
+    from . import planner
+
     instance = _load(args.instance)
     _require_k4(instance)
     forest = instance.forest()
-    if is_ts_reachable(forest, instance.start_tokens(), instance.target_tokens()):
+    if planner.is_ts_reachable(forest, instance.start_tokens(), instance.target_tokens()):
         print("YES")
         return 0
     print("NO")
@@ -68,14 +86,16 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
+    from . import planner
+
     instance = _load(args.instance)
     _require_k4(instance)
     forest = instance.forest()
     I, J = instance.start_tokens(), instance.target_tokens()
-    if not is_ts_reachable(forest, I, J):
+    if not planner.is_ts_reachable(forest, I, J):
         print("NO")
         return 1
-    seq = build_sequence(forest, I, J)
+    seq = planner.build_sequence(forest, I, J)
     _emit(render_witness(seq.moves), args.output)
     return 0
 
@@ -98,6 +118,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_rigid(args: argparse.Namespace) -> int:
+    from .rigidity import rigid_set
+
     instance = _load(args.instance)
     _require_k4(instance)
     forest = instance.forest()
@@ -108,13 +130,15 @@ def _cmd_rigid(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from . import oracle
+
     instance = _load(args.instance)
     forest = instance.forest()
-    reachable = oracle_reachable(
+    reachable = oracle.oracle_reachable(
         forest,
         instance.start_tokens(),
         instance.target_tokens(),
-        max_states=args.max_states,
+        max_states=oracle.DEFAULT_MAX_STATES if args.max_states is None else args.max_states,
     )
     if reachable:
         print("YES")
@@ -124,6 +148,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .generate import GenerateConfig, random_instance
+
     config = GenerateConfig(
         spine=args.spine,
         leaf_prob=args.leaf_prob,
@@ -168,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="decide by brute-force BFS (small instances)")
     p.add_argument("instance")
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    # None stands for oracle.DEFAULT_MAX_STATES: parsing loads no oracle
+    p.add_argument("--max-states", type=int, default=None)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("gen", help="generate a random instance")

@@ -1,4 +1,4 @@
-"""Instance and witness file formats, plus DOT export.
+"""Instance and witness file formats, the witness checker, and DOT export.
 
 Line-oriented grammar, `#` starts a comment, blank lines ignored:
 
@@ -15,6 +15,11 @@ out.  An instance may have at most MAX_VERTICES vertices (spine plus
 leaves), checked before any vertex is built.  Parse failures carry a stable
 error code (syntax, unknown-vertex, duplicate-directive, invalid-cover,
 too-large) and the line.
+
+A witness is a `TsSequence` of slides, checked by `validate_sequence`.
+The checker reads only `cover` and `graph`: it is independent of the
+planner that builds witnesses and of the rigidity engine, and
+`kpvcr check` loads neither.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cover import TokenSet, is_kpvc
-from .errors import InstanceFormatError
-from .graph import CaterpillarForest, VertexId
+from .errors import InputError, InstanceFormatError
+from .graph import CaterpillarForest, Ranks, VertexId, longest_path
 
 MAGIC = "kpvcr 1"
 
@@ -177,8 +182,10 @@ def _is_int(s: str) -> bool:
 
 # -- witnesses --------------------------------------------------------------
 
+Move = tuple[VertexId, VertexId]
 
-def parse_witness(text: str) -> tuple[tuple[VertexId, VertexId], ...]:
+
+def parse_witness(text: str) -> tuple[Move, ...]:
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -193,7 +200,7 @@ def parse_witness(text: str) -> tuple[tuple[VertexId, VertexId], ...]:
     m = int(parts[1])
     if len(lines) - 1 != m:
         raise _fail(f"expected {m} slide lines", "syntax", lineno)
-    moves: list[tuple[VertexId, VertexId]] = []
+    moves: list[Move] = []
     for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "slide":
@@ -210,6 +217,119 @@ def render_witness(moves) -> str:
     lines = [f"witness {len(moves)}"]
     lines.extend(f"slide {frm} {to}" for frm, to in moves)
     return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class TsSequence:
+    start: TokenSet
+    moves: tuple[Move, ...]
+
+    @property
+    def end(self) -> TokenSet:
+        occ = set(self.start.occupied)
+        for frm, to in self.moves:
+            occ.discard(frm)
+            occ.add(to)
+        return TokenSet(frozenset(occ), self.start.k)
+
+    def reverse(self) -> "TsSequence":
+        return TsSequence(
+            self.end, tuple((to, frm) for frm, to in reversed(self.moves))
+        )
+
+    def concat(self, other: "TsSequence") -> "TsSequence":
+        if self.start.k != other.start.k:
+            raise InputError("cannot concatenate sequences with different k")
+        if self.end.occupied != other.start.occupied:
+            raise InputError("sequence endpoints do not chain")
+        return TsSequence(self.start, self.moves + other.moves)
+
+    def __add__(self, other: "TsSequence") -> "TsSequence":
+        return self.concat(other)
+
+    def __len__(self) -> int:
+        return len(self.moves)
+
+
+def validate_sequence(forest: CaterpillarForest, k: int, seq: TsSequence) -> bool:
+    """Adjacent slides from occupied onto free vertices, every state a
+    valid k-path vertex cover (the start included).
+
+    Only the start goes through `is_kpvc`.  A slide frees only `frm`, so a
+    new k-path runs through `frm`, inside the one free component holding
+    it; its other paths were free before.  A leaf slides only onto its
+    spine vertex and is left on its own.  A spine vertex joins the maximal
+    free spine run through its position, whose longest path
+    (`graph.longest_path`) must stay below k.  Occupancy is an int per
+    component over its ranks, a position's free leaves are counted once
+    and then kept current (`_free_leaves`), and no state but the start is
+    memoised.
+    """
+    try:
+        if seq.start.k != k or not is_kpvc(forest, seq.start):
+            return False
+    except InputError:
+        return False
+    component = forest._component
+    tokens: dict[Ranks, list[VertexId]] = {}
+    for v in seq.start.occupied:
+        tokens.setdefault(component[v]._ranks, []).append(v)
+    # per component: its occupancy int, and its free leaves per position,
+    # each counted when first read (`_free_leaves`)
+    state = {
+        ranks: [ranks.mask_of(vs), [None] * len(ranks.spine)] for ranks, vs in tokens.items()
+    }
+    for frm, to in seq.moves:
+        comp = component.get(frm)
+        if comp is None or to not in comp._ranks.rank:
+            return False
+        ranks = comp._ranks
+        r, w = ranks.rank[frm], ranks.rank[to]
+        st = state.get(ranks)
+        if st is None or not st[0] >> r & 1 or st[0] >> w & 1:
+            return False
+        # adjacent: spine vertices one position apart, or a leaf and its
+        # spine vertex
+        spine = ranks.spine
+        i, j = ranks.pos[r], ranks.pos[w]
+        on_spine = (spine[i] == r) + (spine[j] == w)
+        if not (abs(i - j) == 1 if on_spine == 2 else on_spine == 1 and i == j):
+            return False
+        occ = st[0] = st[0] ^ (1 << r | 1 << w)
+        free = st[1]
+        if on_spine == 1 and free[i] is not None:
+            free[i] += 1 if spine[i] == w else -1
+        if spine[i] == r and _free_run_path(ranks, occ, i, k, free) >= k:
+            return False
+    return True
+
+
+def _free_run_path(ranks: Ranks, occ: int, i: int, k: int, free: list[int | None]) -> int:
+    """Longest path of the free spine run through position i (free under
+    occ), looking at most k - 1 positions each way: a run cut short there
+    already holds k spine vertices."""
+    spine = ranks.spine
+    a = b = i
+    while a > 0 and i - a < k - 1 and not occ >> spine[a - 1] & 1:
+        a -= 1
+    while b + 1 < len(spine) and b - i < k - 1 and not occ >> spine[b + 1] & 1:
+        b += 1
+    return longest_path(
+        b - a + 1, _free_leaves(ranks, occ, a, free), _free_leaves(ranks, occ, b, free)
+    )
+
+
+def _free_leaves(ranks: Ranks, occ: int, p: int, free: list[int | None]) -> int:
+    """Free leaves at spine position p: ranks first[p]..spine[p] - 1.  A
+    position is counted from occ once, when a spine slide first reads it,
+    and kept in free[p], which `validate_sequence` updates on every leaf
+    slide there: shifting a long occupancy int out to the position's
+    leaves on every spine slide costs O(n) each."""
+    count = free[p]
+    if count is None:
+        n = ranks.spine[p] - ranks.first[p]
+        count = free[p] = n - (occ >> ranks.first[p] & ((1 << n) - 1)).bit_count()
+    return count
 
 
 # -- DOT export -------------------------------------------------------------

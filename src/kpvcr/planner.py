@@ -25,54 +25,23 @@ k-path through a leaf passes its spine vertex.
 
 Token identity is not tracked: covers are sets and any token may end up on
 any matched target.
+
+The planner does not check its own witnesses: `validate_sequence` and
+`TsSequence`, re-exported here, live in `instance`, apart from the planner
+and the rigidity engine.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator
 
 from ._kpaths import slide_ok
 from .cover import TokenSet, is_kpvc
 from .errors import InputError, LogicError, UnsupportedParameterError
-from .graph import Caterpillar, CaterpillarForest, Ranks, VertexId, longest_path
+from .graph import Caterpillar, CaterpillarForest, Ranks, VertexId
+from .instance import Move, TsSequence, validate_sequence  # noqa: F401
 from .rigidity import rigid_set
-
-Move = tuple[VertexId, VertexId]
-
-
-@dataclass(frozen=True)
-class TsSequence:
-    start: TokenSet
-    moves: tuple[Move, ...]
-
-    @property
-    def end(self) -> TokenSet:
-        occ = set(self.start.occupied)
-        for frm, to in self.moves:
-            occ.discard(frm)
-            occ.add(to)
-        return TokenSet(frozenset(occ), self.start.k)
-
-    def reverse(self) -> "TsSequence":
-        return TsSequence(
-            self.end, tuple((to, frm) for frm, to in reversed(self.moves))
-        )
-
-    def concat(self, other: "TsSequence") -> "TsSequence":
-        if self.start.k != other.start.k:
-            raise InputError("cannot concatenate sequences with different k")
-        if self.end.occupied != other.start.occupied:
-            raise InputError("sequence endpoints do not chain")
-        return TsSequence(self.start, self.moves + other.moves)
-
-    def __add__(self, other: "TsSequence") -> "TsSequence":
-        return self.concat(other)
-
-    def __len__(self) -> int:
-        return len(self.moves)
-
 
 # ---------------------------------------------------------------------------
 # Decision
@@ -191,70 +160,6 @@ def construct_si(
     router = _Router(comp._ranks, current.k, current.occupied)
     router.settle(rank[ys[i - 1]], comp._ranks.mask_of(ys[i:]))
     return TsSequence(current, tuple(router.vertex_moves()))
-
-
-def validate_sequence(forest: CaterpillarForest, k: int, seq: TsSequence) -> bool:
-    """Adjacent slides from occupied onto free vertices, every state a
-    valid k-path vertex cover (the start included).
-
-    Only the start goes through `is_kpvc`.  A slide frees only `frm`, so a
-    new k-path runs through `frm`, inside the one free component holding
-    it; its other paths were free before.  A leaf slides only onto its
-    spine vertex and is left on its own.  A spine vertex joins the maximal
-    free spine run through its position, whose longest path
-    (`graph.longest_path`) must stay below k.  Occupancy is an int per
-    component over its ranks, a slide costs O(k + leaves), and no state
-    but the start is memoised.
-    """
-    try:
-        if seq.start.k != k or not is_kpvc(forest, seq.start):
-            return False
-    except InputError:
-        return False
-    component = forest._component
-    tokens: dict[Ranks, list[VertexId]] = {}
-    for v in seq.start.occupied:
-        tokens.setdefault(component[v]._ranks, []).append(v)
-    occs = {ranks: ranks.mask_of(vs) for ranks, vs in tokens.items()}
-    for frm, to in seq.moves:
-        comp = component.get(frm)
-        if comp is None or to not in comp._ranks.rank:
-            return False
-        ranks = comp._ranks
-        r, w = ranks.rank[frm], ranks.rank[to]
-        occ = occs.get(ranks, 0)
-        if not occ >> r & 1 or occ >> w & 1:
-            return False
-        # adjacent: spine vertices one position apart, or a leaf and its
-        # spine vertex
-        spine = ranks.spine
-        i, j = ranks.pos[r], ranks.pos[w]
-        on_spine = (spine[i] == r) + (spine[j] == w)
-        if not (abs(i - j) == 1 if on_spine == 2 else on_spine == 1 and i == j):
-            return False
-        occ = occs[ranks] = occ ^ (1 << r | 1 << w)
-        if spine[i] == r and _free_run_path(ranks, occ, i, k) >= k:
-            return False
-    return True
-
-
-def _free_run_path(ranks: Ranks, occ: int, i: int, k: int) -> int:
-    """Longest path of the free spine run through position i (free under
-    occ), looking at most k - 1 positions each way: a run cut short there
-    already holds k spine vertices."""
-    spine = ranks.spine
-    a = b = i
-    while a > 0 and i - a < k - 1 and not occ >> spine[a - 1] & 1:
-        a -= 1
-    while b + 1 < len(spine) and b - i < k - 1 and not occ >> spine[b + 1] & 1:
-        b += 1
-    return longest_path(b - a + 1, _free_leaves(ranks, occ, a), _free_leaves(ranks, occ, b))
-
-
-def _free_leaves(ranks: Ranks, occ: int, p: int) -> int:
-    """Free leaves at spine position p: ranks first[p]..spine[p] - 1."""
-    lo, n = ranks.first[p], ranks.spine[p] - ranks.first[p]
-    return n - (occ >> lo & ((1 << n) - 1)).bit_count()
 
 
 # ---------------------------------------------------------------------------

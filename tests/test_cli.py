@@ -1,7 +1,13 @@
 """End-to-end CLI behaviour through kpvcr.cli.main."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import kpvcr
 from kpvcr import CaterpillarForest, parse_instance, parse_witness
 from kpvcr.cli import main
 from kpvcr.instance import MAX_VERTICES
@@ -187,7 +193,7 @@ class TestOracle:
         def exhaust(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr("kpvcr.cli.oracle_reachable", exhaust)
+        monkeypatch.setattr("kpvcr.oracle.oracle_reachable", exhaust)
         assert main(["oracle", yes_file]) == 3
         assert capsys.readouterr().err == "error: out of memory\n"
 
@@ -254,3 +260,73 @@ class TestExportDot:
         out = tmp_path / "g.dot"
         assert main(["export-dot", yes_file, "-o", str(out)]) == 0
         assert out.read_text().startswith("graph kpvcr {")
+
+
+_SRC = str(Path(kpvcr.__file__).resolve().parents[1])
+
+# prints the exit code of `main` on the script's arguments, then every
+# kpvcr module loaded by then
+_LOADED = """\
+import sys
+from kpvcr.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("kpvcr")))
+"""
+
+
+def _last_line(script: str, *argv: str) -> list[str]:
+    """The words of the last output line of `script`, run in a fresh
+    interpreter on this checkout's kpvcr."""
+    out = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return out.splitlines()[-1].split()
+
+
+def _loaded(*argv: str) -> tuple[int, set[str]]:
+    code, *modules = _last_line(_LOADED, *argv)
+    return int(code), {m.removeprefix("kpvcr.") for m in modules}
+
+
+class TestLoadedModules:
+    """Each subcommand loads only the modules it calls: a CLI child spends
+    more time loading kpvcr than `check` spends working, so a stray
+    module-level import would bring that cost back unnoticed."""
+
+    @pytest.fixture
+    def witness_file(self, yes_file, tmp_path, capsys):
+        out = tmp_path / "yes.witness"
+        assert main(["witness", yes_file, "-o", str(out)]) == 0
+        return str(out)
+
+    def test_check_loads_neither_planner_nor_rigidity(self, yes_file, witness_file):
+        code, loaded = _loaded("check", yes_file, witness_file)
+        assert code == 0 and "instance" in loaded
+        assert not loaded & {"rigidity", "planner", "_kpaths", "oracle", "generate"}
+
+    @pytest.mark.parametrize(
+        "command, needs", [("decide", "planner"), ("witness", "planner"), ("rigid", "rigidity")]
+    )
+    def test_decision_loads_no_oracle_or_generator(self, yes_file, command, needs):
+        code, loaded = _loaded(command, yes_file)
+        assert code == 0 and needs in loaded
+        assert not loaded & {"oracle", "generate"}
+
+    def test_entry_points_still_resolve_on_cli(self):
+        # bench/spans.py wraps these where it finds them on `kpvcr.cli`
+        for name in (
+            "parse_instance",
+            "parse_witness",
+            "is_ts_reachable",
+            "build_sequence",
+            "validate_sequence",
+        ):
+            assert getattr(kpvcr.cli, name) is getattr(kpvcr, name)
+
+    def test_bare_import_loads_no_submodule(self):
+        script = "import sys, kpvcr; print(*sorted(m for m in sys.modules if 'kpvcr' in m))"
+        assert _last_line(script) == ["kpvcr"]

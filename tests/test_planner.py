@@ -36,6 +36,7 @@ from kpvcr import (
     validate_sequence,
 )
 
+import kpvcr.instance
 from kpvcr._kpaths import slide_ok
 from kpvcr.planner import _last_mismatch, _Router
 
@@ -233,14 +234,15 @@ def _random_cover(rng, G, k):
     return occ
 
 
-def _random_move(rng, G, k, occ, kinds):
-    """One move on occ: mostly a slide from an occupied vertex onto a free
-    neighbour (three times in four one that keeps the cover), else a bad
-    move of a random kind, counted in `kinds` when one exists."""
+def _random_move(rng, G, k, occ, kinds, good=0.85):
+    """One move on occ: with probability `good` a slide from an occupied
+    vertex onto a free neighbour (three times in four one that keeps the
+    cover), else a bad move of a random kind, counted in `kinds` when one
+    exists."""
     verts = sorted(G.vertices)
     free = [v for v in verts if v not in occ]
     slides = [(v, w) for v in sorted(occ) for w in G.neighbors(v) if w not in occ]
-    if slides and rng.random() < 0.85:
+    if slides and rng.random() < good:
         keep = [
             (v, w) for v, w in slides if G.delete(occ - {v} | {w}).longest_path_vertices() < k
         ]
@@ -288,6 +290,28 @@ def _slack_walk(n):
     return G, TsSequence(TokenSet.of(4, [*cover, S(slack)]), tuple(moves))
 
 
+def _random_case(rng, kinds, max_moves, good=0.85):
+    """A random forest, k, start and up to max_moves moves (see
+    `_random_move`), and the k to check them with: one in twenty differs."""
+    G = _random_forest(rng)
+    k = rng.choice((4, 5, 6))
+    occ = _random_cover(rng, G, k)
+    if occ and rng.random() < 0.1:
+        occ.discard(rng.choice(sorted(occ)))  # often no cover any more
+    start = TokenSet(frozenset(occ), k)
+    moves = []
+    for _ in range(rng.randint(0, max_moves)):
+        move = _random_move(rng, G, k, occ, kinds, good)
+        if move is None:
+            break
+        moves.append(move)
+        if not (G.has_vertex(move[0]) and G.has_vertex(move[1])):
+            break
+        occ = occ - {move[0]} | {move[1]}
+    check_k = rng.choice((4, 5, 6)) if rng.random() < 0.05 else k
+    return G, check_k, TsSequence(start, tuple(moves))
+
+
 class TestValidateSequenceDifferential:
     """validate_sequence against the per-state `is_kpvc` reference on
     seeded random slide sequences: caterpillars up to spine 7 with <= 3
@@ -300,28 +324,42 @@ class TestValidateSequenceDifferential:
         verdicts = {True: 0, False: 0}
         kinds = dict.fromkeys(_BAD_MOVES, 0)
         for _ in range(3000):
-            G = _random_forest(rng)
-            k = rng.choice((4, 5, 6))
-            occ = _random_cover(rng, G, k)
-            if occ and rng.random() < 0.1:
-                occ.discard(rng.choice(sorted(occ)))  # often no cover any more
-            start = TokenSet(frozenset(occ), k)
-            moves = []
-            for _ in range(rng.randint(0, 8)):
-                move = _random_move(rng, G, k, occ, kinds)
-                if move is None:
-                    break
-                moves.append(move)
-                if not (G.has_vertex(move[0]) and G.has_vertex(move[1])):
-                    break
-                occ = occ - {move[0]} | {move[1]}
-            seq = TsSequence(start, tuple(moves))
-            check_k = rng.choice((4, 5, 6)) if rng.random() < 0.05 else k
+            G, check_k, seq = _random_case(rng, kinds, 8)
             want = _validate_reference(G, check_k, seq)
             assert validate_sequence(G, check_k, seq) == want, (G, check_k, seq)
             verdicts[want] += 1
         assert min(verdicts.values()) >= 500, verdicts
         assert min(kinds.values()) >= 20, kinds
+
+    def test_long_runs_keep_free_leaf_counts(self, monkeypatch):
+        """Sequences of up to 30 moves, bad ones rare, so a position's
+        leaves fill and empty between the spine slides that read its free
+        leaf count: every count read equals a fresh popcount of the
+        occupancy, many of them differ from the first count taken at their
+        position, and every verdict matches the reference."""
+        counted = kpvcr.instance._free_leaves
+        first: dict = {}
+        moved = 0
+
+        def fresh(ranks, occ, p, free):
+            nonlocal moved
+            got = counted(ranks, occ, p, free)
+            lo, n = ranks.first[p], ranks.spine[p] - ranks.first[p]
+            assert got == n - (occ >> lo & ((1 << n) - 1)).bit_count()
+            moved += first.setdefault((ranks, p), got) != got
+            return got
+
+        monkeypatch.setattr(kpvcr.instance, "_free_leaves", fresh)
+        rng = random.Random(30)
+        kinds = dict.fromkeys(_BAD_MOVES, 0)
+        long_valid = 0
+        for _ in range(600):
+            G, check_k, seq = _random_case(rng, kinds, 30, good=0.97)
+            first.clear()
+            want = _validate_reference(G, check_k, seq)
+            assert validate_sequence(G, check_k, seq) == want, (G, check_k, seq)
+            long_valid += want and len(seq) >= 20
+        assert long_valid >= 30 and moved >= 300, (long_valid, moved)
 
 
 class TestValidateSequenceLinear:
@@ -341,7 +379,7 @@ class TestValidateSequenceLinear:
             calls.append(tokens)
             return is_kpvc(forest, tokens)
 
-        monkeypatch.setattr("kpvcr.planner.is_kpvc", counting)
+        monkeypatch.setattr("kpvcr.instance.is_kpvc", counting)
         assert validate_sequence(G, 4, seq)
         assert len(seq) > 2500 and calls == [seq.start]
         assert list(G._memo) == [("kpvc", seq.start.occupied, 4)]
