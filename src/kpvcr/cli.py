@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .errors import InputError, LogicError, ResourceLimitError, UnsupportedParameterError
 from .instance import (
@@ -50,7 +49,8 @@ K3_REASON = (
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:  # `check` reads two files: name this one
         raise InputError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
 
@@ -69,7 +69,8 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.write(text)
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:

@@ -23,26 +23,25 @@ rigidity engine's feed test walks the same generator on its subproblems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import chain
-from typing import Iterable, Iterator
 
 from .errors import InputError
-from .graph import Caterpillar, CaterpillarForest, VertexId, longest_path
+from .graph import Caterpillar, CaterpillarForest, Record, VertexId, _set, longest_path
 
 
-@dataclass(frozen=True)
-class TokenSet:
+class TokenSet(Record):
     """A set of token positions together with the path length parameter k."""
 
-    occupied: frozenset[VertexId]
-    k: int
+    _fields = ("occupied", "k")
 
-    def __post_init__(self) -> None:
-        if self.k < 2:
+    def __init__(self, occupied: frozenset[VertexId], k: int) -> None:
+        if k < 2:
             raise InputError("k must be >= 2")
-        if not isinstance(self.occupied, frozenset):
+        if not isinstance(occupied, frozenset):
             raise InputError("occupied must be a frozenset; use TokenSet.of(k, vertices)")
+        _set(self, "occupied", occupied)
+        _set(self, "k", k)
 
     @classmethod
     def of(cls, k: int, vertices: Iterable[VertexId]) -> "TokenSet":
@@ -64,11 +63,16 @@ class TokenSet:
                 raise InputError(f"token on unknown vertex {v}")
 
 
-@dataclass(frozen=True)
-class PartitionResult:
-    pieces: tuple[frozenset[VertexId], ...]
-    representatives: tuple[VertexId, ...]
-    psi: int
+class PartitionResult(Record):
+    _fields = ("pieces", "representatives", "psi")
+
+    def __init__(
+        self,
+        pieces: tuple[frozenset[VertexId], ...],
+        representatives: tuple[VertexId, ...],
+        psi: int,
+    ) -> None:
+        self._init(pieces, representatives, psi)
 
 
 def is_kpvc(forest: CaterpillarForest, tokens: TokenSet) -> bool:

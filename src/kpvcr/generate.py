@@ -19,32 +19,29 @@ parse_instance accepts; a larger request fails before the forest is built.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from ._kpaths import slide_ok
 from .cover import partition
 from .errors import InputError
-from .graph import Caterpillar, CaterpillarForest, VertexId
+from .graph import Caterpillar, CaterpillarForest, Record, VertexId
 from .instance import MAX_VERTICES, InstanceFile
 
 
-@dataclass(frozen=True)
-class GenerateConfig:
-    spine: int
-    leaf_prob: float
-    k: int
-    seed: int
-    scramble: bool = False
+class GenerateConfig(Record):
+    _fields = ("spine", "leaf_prob", "k", "seed", "scramble")
 
-    def __post_init__(self) -> None:
-        if self.spine < 2:
+    def __init__(
+        self, spine: int, leaf_prob: float, k: int, seed: int, scramble: bool = False
+    ) -> None:
+        if spine < 2:
             raise InputError("spine length must be >= 2")
-        if self.spine > MAX_VERTICES:
-            raise _too_large(self.spine)
-        if not (0.0 <= self.leaf_prob <= 1.0):
+        if spine > MAX_VERTICES:
+            raise _too_large(spine)
+        if not (0.0 <= leaf_prob <= 1.0):
             raise InputError("leaf probability must be in [0, 1]")
-        if self.k < 3:
+        if k < 3:
             raise InputError("k must be >= 3")
+        self._init(spine, leaf_prob, k, seed, scramble)
 
 
 def random_instance(config: GenerateConfig) -> InstanceFile:

@@ -29,14 +29,53 @@ that object.  No module keeps a module-level cache.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Mapping
 
 from .errors import InputError
 
 _ID_RE = re.compile(r"^(?:s(\d+)|l(\d+)\.(\d+))$")
+
+_set = object.__setattr__
+
+
+class Record:
+    """An immutable value: the fields named in `_fields` make its repr,
+    `Name(field=value, ...)`, and those in `_compared` (default: all) its
+    equality and hash, as a frozen dataclass does.  Each subclass has its
+    own `__init__`, which validates its arguments and sets the fields with
+    `_init` (or, where it is hot, `_set`, which is `object.__setattr__`);
+    any later assignment or deletion raises AttributeError.  Instances keep
+    a `__dict__`, so `cached_property`, copy and pickle work on them as on
+    any plain object."""
+
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] | None = None
+
+    def _init(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._compared or self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 class VertexId(tuple):
@@ -97,20 +136,21 @@ def L(i: int, j: int) -> VertexId:
     return VertexId("l", i, j)
 
 
-@dataclass(frozen=True)
-class Caterpillar:
+class Caterpillar(Record):
     """One caterpillar component: spine left to right, leaves per position.
     Its derived tables are cached_property values, computed on first use
     into its own __dict__, which the field-based eq, hash and repr never
     read, and gone with it."""
 
-    spine: tuple[VertexId, ...]
-    leaves: tuple[tuple[VertexId, ...], ...]
+    _fields = ("spine", "leaves")
 
-    def __post_init__(self) -> None:
-        if len(self.spine) != len(self.leaves):
+    def __init__(
+        self, spine: tuple[VertexId, ...], leaves: tuple[tuple[VertexId, ...], ...]
+    ) -> None:
+        self._init(spine, leaves)
+        if len(spine) != len(leaves):
             raise InputError("spine and leaf tuples misaligned")
-        if not self.spine:
+        if not spine:
             raise InputError("empty component")
         seen: set[VertexId] = set()
         for v in self.all_vertices():
@@ -223,26 +263,26 @@ def _raw_component(
     """Internal constructor that skips duplicate validation.  Only for
     surgery on already-validated forests (delete, canonical)."""
     c = object.__new__(Caterpillar)
-    object.__setattr__(c, "spine", spine)
-    object.__setattr__(c, "leaves", leaves)
+    _set(c, "spine", spine)
+    _set(c, "leaves", leaves)
     return c
 
 
 def _raw_forest(components: tuple[Caterpillar, ...]) -> CaterpillarForest:
     f = object.__new__(CaterpillarForest)
-    object.__setattr__(f, "components", components)
+    _set(f, "components", components)
     return f
 
 
-@dataclass(frozen=True)
-class CaterpillarForest:
+class CaterpillarForest(Record):
     """A disjoint union of caterpillar components."""
 
-    components: tuple[Caterpillar, ...]
+    _fields = ("components",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, components: tuple[Caterpillar, ...]) -> None:
+        self._init(components)
         seen: set[VertexId] = set()
-        for c in self.components:
+        for c in components:
             for v in c.all_vertices():
                 if v in seen:
                     raise InputError(f"duplicate vertex {v} across components")

@@ -24,12 +24,11 @@ planner that builds witnesses and of the rigidity engine, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .cover import TokenSet, is_kpvc
 from .errors import InputError, InstanceFormatError
-from .graph import CaterpillarForest, Ranks, VertexId, longest_path
+from .graph import CaterpillarForest, Ranks, Record, VertexId, longest_path
 
 MAGIC = "kpvcr 1"
 
@@ -40,13 +39,18 @@ MAGIC = "kpvcr 1"
 MAX_VERTICES = 100_000
 
 
-@dataclass(frozen=True)
-class InstanceFile:
-    k: int
-    spine: int
-    leaves: tuple[tuple[int, int], ...]  # (position, count), sorted
-    start: tuple[VertexId, ...]
-    target: tuple[VertexId, ...]
+class InstanceFile(Record):
+    _fields = ("k", "spine", "leaves", "start", "target")
+
+    def __init__(
+        self,
+        k: int,
+        spine: int,
+        leaves: tuple[tuple[int, int], ...],  # (position, count), sorted
+        start: tuple[VertexId, ...],
+        target: tuple[VertexId, ...],
+    ) -> None:
+        self._init(k, spine, leaves, start, target)
 
     def forest(self) -> CaterpillarForest:
         """The instance's forest, one object per instance: every caller shares
@@ -219,10 +223,11 @@ def render_witness(moves) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class TsSequence:
-    start: TokenSet
-    moves: tuple[Move, ...]
+class TsSequence(Record):
+    _fields = ("start", "moves")
+
+    def __init__(self, start: TokenSet, moves: tuple[Move, ...]) -> None:
+        self._init(start, moves)
 
     @property
     def end(self) -> TokenSet:

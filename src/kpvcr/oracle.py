@@ -10,8 +10,8 @@ cap below 1 is an input error.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import combinations, product
-from typing import Iterator
 
 from ._kpaths import PathCoverContext
 from .cover import TokenSet

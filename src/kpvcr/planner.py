@@ -34,7 +34,7 @@ and the rigidity engine.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator
+from collections.abc import Iterator
 
 from ._kpaths import slide_ok
 from .cover import TokenSet, is_kpvc

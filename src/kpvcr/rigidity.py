@@ -45,52 +45,60 @@ instead of a silent approximation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Generator
+from collections.abc import Callable, Generator
 
 from ._kpaths import _component_paths, slide_ok
 # partition stays importable from here: the traced benchmark wraps
 # kpvcr.rigidity.partition by name
 from .cover import TokenSet, _endpoint_pieces, partition  # noqa: F401
 from .errors import InputError, LogicError, UnsupportedParameterError
-from .graph import Caterpillar, CaterpillarForest, Ranks, VertexId
+from .graph import Caterpillar, CaterpillarForest, Ranks, Record, VertexId
 
 KPath = tuple[VertexId, ...]
 
 
-@dataclass(frozen=True)
-class HRegion:
-    vertices: frozenset[VertexId]
-    witness_paths: tuple[KPath, KPath]
-    spine_size: int
+class HRegion(Record):
+    _fields = ("vertices", "witness_paths", "spine_size")
+
+    def __init__(
+        self, vertices: frozenset[VertexId], witness_paths: tuple[KPath, KPath], spine_size: int
+    ) -> None:
+        self._init(vertices, witness_paths, spine_size)
 
 
-@dataclass(frozen=True)
-class PathClassification:
-    left: frozenset[KPath]
-    right: frozenset[KPath]
-    center: frozenset[KPath]
+class PathClassification(Record):
+    _fields = ("left", "right", "center")
+
+    def __init__(
+        self, left: frozenset[KPath], right: frozenset[KPath], center: frozenset[KPath]
+    ) -> None:
+        self._init(left, right, center)
 
     @property
     def all_paths(self) -> frozenset[KPath]:
         return self.left | self.right | self.center
 
 
-@dataclass(frozen=True)
-class RigidDecision:
-    rigid: bool
-    # lemma-1a | lemma-1b | 4a | 4b2 | 4b3 | 4b4 | movable; case 4(b)(1),
-    # no H-region, answers movable
-    tag: str
+class RigidDecision(Record):
+    _fields = ("rigid", "tag")
+
+    def __init__(self, rigid: bool, tag: str) -> None:
+        # lemma-1a | lemma-1b | 4a | 4b2 | 4b3 | 4b4 | movable; case
+        # 4(b)(1), no H-region, answers movable
+        self._init(rigid, tag)
 
     def __bool__(self) -> bool:
         return self.rigid
 
 
-@dataclass(frozen=True)
-class RigidReport:
-    rigid: frozenset[VertexId]
-    rationale: dict[VertexId, str] = field(compare=False, hash=False, default_factory=dict)
+class RigidReport(Record):
+    _fields = ("rigid", "rationale")
+    _compared = ("rigid",)  # each token's tag is shown, never compared
+
+    def __init__(
+        self, rigid: frozenset[VertexId], rationale: dict[VertexId, str] | None = None
+    ) -> None:
+        self._init(rigid, {} if rationale is None else rationale)
 
 
 _LEMMA_1A = RigidDecision(True, "lemma-1a")
