@@ -265,20 +265,20 @@ class TestExportDot:
 _SRC = str(Path(kpvcr.__file__).resolve().parents[1])
 
 # prints the exit code of `main` on the script's arguments, then every
-# kpvcr module loaded by then
+# module loaded by then
 _LOADED = """\
 import sys
 from kpvcr.cli import main
 code = main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.startswith("kpvcr")))
+print(code, *sorted(sys.modules))
 """
 
 
-def _last_line(script: str, *argv: str) -> list[str]:
+def _last_line(script: str, *argv: str, flags: tuple[str, ...] = ()) -> list[str]:
     """The words of the last output line of `script`, run in a fresh
-    interpreter on this checkout's kpvcr."""
+    interpreter (started with `flags`) on this checkout's kpvcr."""
     out = subprocess.run(
-        [sys.executable, "-c", script, *argv],
+        [sys.executable, *flags, "-c", script, *argv],
         env=dict(os.environ, PYTHONPATH=_SRC),
         capture_output=True,
         text=True,
@@ -287,9 +287,14 @@ def _last_line(script: str, *argv: str) -> list[str]:
     return out.splitlines()[-1].split()
 
 
+def _modules(*argv: str, flags: tuple[str, ...] = ()) -> tuple[int, set[str]]:
+    code, *modules = _last_line(_LOADED, *argv, flags=flags)
+    return int(code), set(modules)
+
+
 def _loaded(*argv: str) -> tuple[int, set[str]]:
-    code, *modules = _last_line(_LOADED, *argv)
-    return int(code), {m.removeprefix("kpvcr.") for m in modules}
+    code, modules = _modules(*argv)
+    return code, {m.removeprefix("kpvcr.") for m in modules if m.startswith("kpvcr")}
 
 
 class TestLoadedModules:
@@ -315,6 +320,21 @@ class TestLoadedModules:
         code, loaded = _loaded(command, yes_file)
         assert code == 0 and needs in loaded
         assert not loaded & {"oracle", "generate"}
+
+    def test_no_dataclasses_inspect_or_typing(self, yes_file, witness_file):
+        # `python -S` skips site, which preloads typing on some installs;
+        # dataclasses alone pulls in inspect, ast, dis and tokenize
+        bare = set(_last_line("import sys; print(*sorted(sys.modules))", flags=("-S",)))
+        for argv in (
+            ("check", yes_file, witness_file),
+            ("decide", yes_file),
+            ("witness", yes_file),
+            ("rigid", yes_file),
+        ):
+            code, modules = _modules(*argv, flags=("-S",))
+            assert code == 0 and "kpvcr.cli" in modules
+            extra = {m.split(".")[0] for m in modules - bare}
+            assert not extra & {"dataclasses", "inspect", "typing"}, argv
 
     def test_entry_points_still_resolve_on_cli(self):
         # bench/spans.py wraps these where it finds them on `kpvcr.cli`
