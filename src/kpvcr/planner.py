@@ -398,17 +398,21 @@ class _Router:
         leaves, positions from last to first, each its leaves by descending
         rank and then its spine vertex: a peeled target takes the nearest
         token, a peeled stray token goes to the nearest free vertex, the
-        tokens between stepping on."""
-        spine, first = self.ranks.spine, self.ranks.first
-        peel = []
-        for p in reversed(range(len(spine))):
-            peel += [*range(spine[p] - 1, first[p] - 1, -1), spine[p]]
-        for w in peel:
+        tokens between stepping on.  A fix changes only w and unpeeled
+        vertices, so only vertices whose occupancy differs from the target
+        are visited: next is the highest differing rank, or, when that is a
+        spine vertex, the highest differing leaf of its position."""
+        pos, spine, first = self.ranks.pos, self.ranks.spine, self.ranks.first
+        while diff := self.occ ^ target:
+            w = diff.bit_length() - 1
+            p = pos[w]
+            leaves = diff >> first[p] & ((1 << (spine[p] - first[p])) - 1)
+            if w == spine[p] and leaves:
+                w = first[p] + leaves.bit_length() - 1
             want = target >> w & 1
-            if want != self.occ >> w & 1:
-                path = self.nearest(w, self.occ if want else ~self.occ)
-                for frm, to in zip(path, path[1:]) if want else zip(path[1:], path):
-                    self.slide(frm, to)
+            path = self.nearest(w, self.occ if want else ~self.occ)
+            for frm, to in zip(path, path[1:]) if want else zip(path[1:], path):
+                self.slide(frm, to)
 
     def nearest(self, w: int, cand: int) -> list[int]:
         """The path to the peeled vertex w from the first unpeeled vertex
