@@ -205,15 +205,20 @@ def parse_witness(text: str) -> tuple[Move, ...]:
     if len(lines) - 1 != m:
         raise _fail(f"expected {m} slide lines", "syntax", lineno)
     moves: list[Move] = []
+    # each distinct token is parsed once: a long witness names each vertex
+    # many times
+    ids: dict[str, VertexId] = {}
     for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "slide":
             raise _fail("expected 'slide <from> <to>'", "syntax", lineno)
         try:
-            frm, to = VertexId.parse(parts[1]), VertexId.parse(parts[2])
-        except Exception:
+            for token in parts[1:]:
+                if token not in ids:
+                    ids[token] = VertexId.parse(token)
+        except (InputError, ValueError):  # ValueError: too many digits for int()
             raise _fail("bad vertex id in slide", "syntax", lineno) from None
-        moves.append((frm, to))
+        moves.append((ids[parts[1]], ids[parts[2]]))
     return tuple(moves)
 
 

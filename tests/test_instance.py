@@ -153,6 +153,22 @@ class TestWitnessFormat:
             parse_witness("witness 1\nslide s2\n")
         assert ei.value.code == "syntax" and ei.value.line == 2
 
+    @pytest.mark.parametrize("bad", ["x1", "s0", "l2.0", "s-1", "S1", "l2", "s" + "9" * 5000])
+    @pytest.mark.parametrize("where", ["from", "to"])
+    def test_bad_id_fails_on_its_line(self, bad, where):
+        # the ids before it, repeated, parse; its line is the fourth
+        slide = f"slide {bad} s2" if where == "from" else f"slide s2 {bad}"
+        text = f"witness 4\nslide s1 s2\nslide s2 s1\n# comment\n{slide}\nslide s1 s2\n"
+        with pytest.raises(InstanceFormatError) as ei:
+            parse_witness(text)
+        assert ei.value.code == "syntax" and ei.value.line == 5
+        assert str(ei.value) == "line 5: bad vertex id in slide"
+
+    def test_repeated_ids_parse_to_equal_ids(self):
+        moves = parse_witness("witness 3\nslide s1 s2\nslide s2 l2.1\nslide l2.1 s2\n")
+        assert moves == ((_v("s1"), _v("s2")), (_v("s2"), _v("l2.1")), (_v("l2.1"), _v("s2")))
+        assert all(type(v) is VertexId for move in moves for v in move)
+
     def test_empty_file(self):
         with pytest.raises(InstanceFormatError):
             parse_witness("# nothing\n")
