@@ -7,7 +7,9 @@ two leaves of the same spine vertex when the interval is a single vertex).
 `rigidity` classifies them into the path classes behind H-regions, and the
 brute-force oracle checks covers against them through `PathCoverContext`,
 which packs the whole forest's k-paths into bitmasks.  That costs memory
-quadratic in the spine, so only the oracle, on its small inputs, uses it.
+quadratic in the spine, so only the oracle, on its small inputs, uses it,
+and a forest whose masks would pass MAX_MASK_BYTES is refused before any
+mask is built (`_path_count` counts the paths from the leaf counts).
 
 `slide_ok` is the slide test of the planner, the generator and the rigidity
 engine: does sliding a spine token to a free neighbour keep a set a k-PVC?
@@ -26,7 +28,13 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .errors import InputError
 from .graph import Caterpillar, CaterpillarForest, Ranks, VertexId
+
+# The most bytes of ints a PathCoverContext builds: one mask per k-path and
+# one bit per vertex, each up to as wide as the forest.  Far above any
+# forest a breadth-first search over its covers can finish on.
+MAX_MASK_BYTES = 1 << 28
 
 
 def _component_paths(comp: Caterpillar, k: int) -> list[tuple[VertexId, ...]]:
@@ -51,6 +59,22 @@ def _component_paths(comp: Caterpillar, k: int) -> list[tuple[VertexId, ...]]:
             elif extra == 2:
                 paths.extend((x,) + core + (y,) for x in leaves[p] for y in leaves[q])
     return paths
+
+
+def _path_count(comp: Caterpillar, k: int) -> int:
+    """How many paths `_component_paths` lists, from the leaf counts alone:
+    each spine run of k vertices, each of k - 1 with a leaf at either end
+    (one end when the run is one vertex), and each of k - 2 with a leaf at
+    both ends (two leaves of one vertex when the run is one vertex)."""
+    c = [len(ls) for ls in comp.leaves]
+
+    def ends(m: int) -> zip | tuple:  # leaf counts at both ends of each m-run
+        return zip(c, c[m - 1 :]) if m >= 1 else ()
+
+    total = max(0, len(c) - k + 1)
+    total += sum(a + b if k > 2 else a for a, b in ends(k - 1))
+    total += sum(a * (a - 1) // 2 if k == 3 else a * b for a, b in ends(k - 2))
+    return total
 
 
 def slide_ok(ranks: Ranks, occ: int, m: int, w: int, k: int) -> bool:
@@ -96,6 +120,15 @@ class PathCoverContext:
     """
 
     def __init__(self, forest: CaterpillarForest, k: int):
+        n = forest.n
+        paths = sum(_path_count(comp, k) for comp in forest.components)
+        size = (paths + n) * n // 8
+        if size > MAX_MASK_BYTES:
+            raise InputError(
+                f"the oracle's k-path masks would take {size / 2**20:,.0f} MiB "
+                f"({paths:,} paths and {n:,} vertices, up to {n:,} bits each), "
+                f"more than the {MAX_MASK_BYTES >> 20} MiB it builds"
+            )
         self.k = k
         self.order: list[VertexId] = sorted(forest.vertices)
         self.bit = {v: 1 << i for i, v in enumerate(self.order)}

@@ -197,6 +197,22 @@ class TestOracle:
         assert main(["oracle", yes_file]) == 3
         assert capsys.readouterr().err == "error: out of memory\n"
 
+    def test_refuses_masks_too_large_before_building_one(self, tmp_path, capsys, monkeypatch):
+        # 64,719 vertices: the whole-forest masks would take 1.3 GiB whatever
+        # the state cap, and building them ran out of memory
+        assert main(["gen", "--spine", "40000", "--leaf-prob", "0.4", "--k", "4", "--seed", "1"]) == 0
+        path = tmp_path / "big.kpvcr"
+        path.write_text(capsys.readouterr().out)
+
+        def no_mask(*args):
+            raise AssertionError("built a mask")
+
+        monkeypatch.setattr("kpvcr._kpaths.PathCoverContext.mask_of", no_mask)
+        assert main(["oracle", str(path), "--max-states", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the oracle's k-path masks would take 1,307 MiB")
+        assert "104,650 paths and 64,719 vertices" in err
+
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_state_cap_below_one_is_input_error(self, yes_file, capsys, cap):
         # start differs from target, so a search would otherwise run

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpvcr import CaterpillarForest, TokenSet, is_kpvc
-from kpvcr._kpaths import PathCoverContext, _component_paths, slide_ok
+from kpvcr._kpaths import PathCoverContext, _component_paths, _path_count, slide_ok
 
 from conftest import cat, caterpillars
 
@@ -59,6 +59,13 @@ class TestComponentPaths:
         sets = [frozenset(p) for p in listed]
         assert len(set(sets)) == len(sets)
         assert set(sets) == _k_paths_by_search(adj, k)
+
+    @given(forests(), st.integers(min_value=2, max_value=7))
+    @settings(deadline=None, max_examples=200)
+    def test_path_count_from_leaf_counts(self, G, k):
+        # the oracle's size check counts the paths without listing them
+        for c in G.components:
+            assert _path_count(c, k) == len(_component_paths(c, k))
 
 
 class TestPathCoverContext:
