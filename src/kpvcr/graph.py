@@ -53,20 +53,24 @@ class Record:
     _fields: tuple[str, ...] = ()
     _compared: tuple[str, ...] | None = None
 
+    def __init_subclass__(cls) -> None:
+        names = cls._compared or cls._fields
+        get = attrgetter(*names)
+        # the compared fields as a tuple, read in C; a one-name attrgetter
+        # returns the bare value
+        cls._key = property(get if len(names) > 1 else lambda self: (get(self),))
+
     def _init(self, *values: object) -> None:
         for name, value in zip(self._fields, values):
             _set(self, name, value)
 
-    def _key(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._compared or self._fields])
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            return self._key == other._key
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key)
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
