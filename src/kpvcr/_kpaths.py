@@ -67,13 +67,11 @@ def _path_count(comp: Caterpillar, k: int) -> int:
     (one end when the run is one vertex), and each of k - 2 with a leaf at
     both ends (two leaves of one vertex when the run is one vertex)."""
     c = [len(ls) for ls in comp.leaves]
-
-    def ends(m: int) -> zip | tuple:  # leaf counts at both ends of each m-run
-        return zip(c, c[m - 1 :]) if m >= 1 else ()
-
+    # zip(c, c[m - 1:]) pairs the leaf counts at both ends of each m-run
     total = max(0, len(c) - k + 1)
-    total += sum(a + b if k > 2 else a for a, b in ends(k - 1))
-    total += sum(a * (a - 1) // 2 if k == 3 else a * b for a, b in ends(k - 2))
+    total += sum(a + b if k > 2 else a for a, b in zip(c, c[k - 2 :]))
+    if k > 2:
+        total += sum(a * (a - 1) // 2 if k == 3 else a * b for a, b in zip(c, c[k - 3 :]))
     return total
 
 
@@ -120,17 +118,19 @@ class PathCoverContext:
     """
 
     def __init__(self, forest: CaterpillarForest, k: int):
-        n = forest.n
-        paths = sum(_path_count(comp, k) for comp in forest.components)
-        size = (paths + n) * n // 8
-        if size > MAX_MASK_BYTES:
-            raise InputError(
-                f"the oracle's k-path masks would take {size / 2**20:,.0f} MiB "
-                f"({paths:,} paths and {n:,} vertices, up to {n:,} bits each), "
-                f"more than the {MAX_MASK_BYTES >> 20} MiB it builds"
-            )
         self.k = k
         self.order: list[VertexId] = sorted(forest.vertices)
+        n = len(self.order)
+        # a forest has fewer than n * n / 2 paths, so a small one needs no count
+        if n**3 > 8 * MAX_MASK_BYTES:
+            paths = sum(_path_count(comp, k) for comp in forest.components)
+            size = (paths + n) * n // 8
+            if size > MAX_MASK_BYTES:
+                raise InputError(
+                    f"the oracle's k-path masks would take {size / 2**20:,.0f} MiB "
+                    f"({paths:,} paths and {n:,} vertices, up to {n:,} bits each), "
+                    f"more than its limit of {MAX_MASK_BYTES >> 20} MiB"
+                )
         self.bit = {v: 1 << i for i, v in enumerate(self.order)}
         self.path_masks: list[int] = []
         self.paths_by_vertex: dict[VertexId, list[int]] = {v: [] for v in self.order}
