@@ -56,8 +56,7 @@ class Record:
     def __init_subclass__(cls) -> None:
         names = cls._compared or cls._fields
         get = attrgetter(*names)
-        # the compared fields as a tuple, read in C; a one-name attrgetter
-        # returns the bare value
+        # a tuple read in C; a one-name attrgetter returns the bare value
         cls._key = property(get if len(names) > 1 else lambda self: (get(self),))
 
     def _init(self, *values: object) -> None:

@@ -28,7 +28,7 @@ from functools import cached_property
 
 from .cover import TokenSet, is_kpvc
 from .errors import InputError, InstanceFormatError
-from .graph import CaterpillarForest, Ranks, Record, VertexId, longest_path
+from .graph import CaterpillarForest, Ranks, Record, VertexId, _set, longest_path
 
 MAGIC = "kpvcr 1"
 
@@ -232,7 +232,8 @@ class TsSequence(Record):
     _fields = ("start", "moves")
 
     def __init__(self, start: TokenSet, moves: tuple[Move, ...]) -> None:
-        self._init(start, moves)
+        _set(self, "start", start)  # one per witness built or checked
+        _set(self, "moves", moves)
 
     @property
     def end(self) -> TokenSet:

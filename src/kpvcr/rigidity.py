@@ -52,7 +52,7 @@ from ._kpaths import _component_paths, slide_ok
 # kpvcr.rigidity.partition by name
 from .cover import TokenSet, _endpoint_pieces, partition  # noqa: F401
 from .errors import InputError, LogicError, UnsupportedParameterError
-from .graph import Caterpillar, CaterpillarForest, Ranks, Record, VertexId
+from .graph import Caterpillar, CaterpillarForest, Ranks, Record, VertexId, _set
 
 KPath = tuple[VertexId, ...]
 
@@ -98,7 +98,8 @@ class RigidReport(Record):
     def __init__(
         self, rigid: frozenset[VertexId], rationale: dict[VertexId, str] | None = None
     ) -> None:
-        self._init(rigid, {} if rationale is None else rationale)
+        _set(self, "rigid", rigid)  # one per rigid_set call
+        _set(self, "rationale", {} if rationale is None else rationale)
 
 
 _LEMMA_1A = RigidDecision(True, "lemma-1a")
