@@ -6,6 +6,9 @@ of size psi..psi+extra for each k, and verifies:
   * the fast decision matches the oracle reachability classes, and
   * (optionally) every ordered YES pair yields a validating witness.
 
+The summary line splits the time: `oracle_s` for cover enumeration and
+reachability classes, `engine_s` for signatures and witnesses.
+
 Example:
     python3 scripts/run_enumeration_suite.py --max-spine 5 --max-leaves 2 --witnesses
 """
@@ -43,6 +46,7 @@ def main() -> int:
     args = ap.parse_args()
 
     t0 = time.perf_counter()
+    oracle_s = engine_s = 0.0
     graphs = 0
     cases = 0
     pairs = 0
@@ -55,11 +59,14 @@ def main() -> int:
         for k in args.ks:
             psi = minimum_cover_size(G, k)
             for size in range(psi, min(G.n, psi + args.extra) + 1):
+                t = time.perf_counter()
                 covers = enumerate_kpvcs(G, k, size)
+                classes = reachability_classes(G, k, size) if covers else []
+                t1 = time.perf_counter()
+                oracle_s += t1 - t
                 if not covers:
                     continue
                 cases += 1
-                classes = reachability_classes(G, k, size)
                 groups: dict[object, set[frozenset]] = {}
                 for cov in covers:
                     groups.setdefault(
@@ -70,32 +77,33 @@ def main() -> int:
                 }:
                     mismatches += 1
                     print(f"MISMATCH graph={G.components[0]} k={k} size={size}")
-                if not args.witnesses:
-                    continue
-                for cls in classes:
-                    members = [TokenSet(occ, k) for occ in cls]
-                    for I in members:
-                        for J in members:
-                            pairs += 1
-                            try:
-                                seq = build_sequence(G, I, J)
-                            except LogicError as exc:
-                                bad_witnesses += 1
-                                print(f"WITNESS FAILED graph={G.components[0]} k={k} "
-                                      f"start={sorted(map(str, I.occupied))} "
-                                      f"target={sorted(map(str, J.occupied))}: {exc}")
-                                continue
-                            if not (
-                                validate_sequence(G, k, seq)
-                                and seq.end.occupied == J.occupied
-                            ):
-                                bad_witnesses += 1
+                if args.witnesses:
+                    for cls in classes:
+                        members = [TokenSet(occ, k) for occ in cls]
+                        for I in members:
+                            for J in members:
+                                pairs += 1
+                                try:
+                                    seq = build_sequence(G, I, J)
+                                except LogicError as exc:
+                                    bad_witnesses += 1
+                                    print(f"WITNESS FAILED graph={G.components[0]} k={k} "
+                                          f"start={sorted(map(str, I.occupied))} "
+                                          f"target={sorted(map(str, J.occupied))}: {exc}")
+                                    continue
+                                if not (
+                                    validate_sequence(G, k, seq)
+                                    and seq.end.occupied == J.occupied
+                                ):
+                                    bad_witnesses += 1
+                engine_s += time.perf_counter() - t1
         if graphs % 25 == 0:
             print(f"... {graphs} graphs, {cases} cases, {pairs} pairs, "
                   f"{time.perf_counter() - t0:.1f}s", file=sys.stderr)
 
     print(f"graphs={graphs} cases={cases} decision_mismatches={mismatches} "
           f"witness_pairs={pairs} witness_failures={bad_witnesses} "
+          f"oracle_s={oracle_s:.2f} engine_s={engine_s:.2f} "
           f"elapsed={time.perf_counter() - t0:.1f}s")
     return 1 if (mismatches or bad_witnesses) else 0
 

@@ -110,11 +110,16 @@ def slide_ok(ranks: Ranks, occ: int, m: int, w: int, k: int) -> bool:
 
 
 class PathCoverContext:
-    """Bitmask machinery for fast slide validity on a fixed (forest, k).
+    """Bitmask machinery for the oracle on a fixed (forest, k).
 
-    Vertices are numbered in sorted id order; covers become ints.  A slide
-    from `frm` can only uncover paths through `frm`, so validity after a
-    slide checks just those.
+    Vertices are numbered in sorted id order, vertex i as bit 1 << i, and
+    covers become ints, so the oracle builds each candidate cover as a sum
+    of distinct bits.  A slide from a vertex can only uncover paths through
+    it, so `moves[i]` holds what a search walking a state's token bits
+    needs for the token on bit i: the masks of the k-paths through that
+    vertex and its neighbours' bits in adjacency order.  `slide_ok` is the
+    same test by vertex id, the reference for the rank-based `slide_ok`
+    above.
     """
 
     def __init__(self, forest: CaterpillarForest, k: int):
@@ -133,15 +138,14 @@ class PathCoverContext:
                 )
         self.bit = {v: 1 << i for i, v in enumerate(self.order)}
         self.path_masks: list[int] = []
-        self.paths_by_vertex: dict[VertexId, list[int]] = {v: [] for v in self.order}
+        adj = forest.adjacency()
+        self.moves = [([], [self.bit[u] for u in adj[v]]) for v in self.order]
         for comp in forest.components:
             for p in _component_paths(comp, k):
                 m = self.mask_of(p)
                 self.path_masks.append(m)
                 for v in p:
-                    self.paths_by_vertex[v].append(m)
-        adj = forest.adjacency()
-        self.neighbor_bits = {v: [(u, self.bit[u]) for u in adj[v]] for v in self.order}
+                    self.moves[self.bit[v].bit_length() - 1][0].append(m)
 
     def mask_of(self, vertices) -> int:
         m = 0
@@ -171,7 +175,7 @@ class PathCoverContext:
         if occ & tb:
             return False
         new = (occ & ~fb) | tb
-        for p in self.paths_by_vertex[frm]:
+        for p in self.moves[fb.bit_length() - 1][0]:
             if not (p & new):
                 return False
         return True

@@ -135,12 +135,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
     instance = _load(args.instance)
     forest = instance.forest()
-    reachable = oracle.oracle_reachable(
-        forest,
-        instance.start_tokens(),
-        instance.target_tokens(),
-        max_states=oracle.DEFAULT_MAX_STATES if args.max_states is None else args.max_states,
-    )
+    I, J = instance.start_tokens(), instance.target_tokens()
+    cap = oracle.DEFAULT_MAX_STATES if args.max_states is None else args.max_states
+    if len(I) == len(J):
+        reachable = oracle.oracle_reachable(forest, I, J, max_states=cap)
+    else:
+        # no slide changes the token count, so the answer is NO, as `decide`
+        # gives it, once the cap and the forest's size pass the oracle's
+        # checks (a search from I to itself makes them and searches nothing)
+        oracle.oracle_reachable(forest, I, I, max_states=cap)
+        reachable = False
     if reachable:
         print("YES")
         return 0

@@ -4,8 +4,13 @@ Everything here is deliberately independent of the polynomial machinery:
 cover validity is checked against exhaustively enumerated k-paths, and
 reachability/rigidity come from BFS over the reconfiguration graph.  Covers
 are packed into bitmasks so the BFS stays affordable on the enumeration
-family.  The state cap raises a resource error instead of truncating; a
-cap below 1 is an input error.
+family: each candidate cover is the sum of a combination of vertex bits
+(distinct powers of two, so the sum is the union), and a state's moves
+come from walking only its token bits, low to high, against the context's
+move table (`PathCoverContext.moves`: per vertex bit, the k-paths through
+that vertex and its neighbours' bits), keeping a slide when the target is
+free and each of those paths still holds a token.  The state cap raises a
+resource error instead of truncating; a cap below 1 is an input error.
 """
 
 from __future__ import annotations
@@ -33,17 +38,28 @@ def enumerate_kpvcs(forest: CaterpillarForest, k: int, size: int) -> set[TokenSe
 
 
 def _cover_masks(ctx: PathCoverContext, size: int) -> list[int]:
-    masks = map(ctx.mask_of, combinations(ctx.order, size))
+    # the bits are distinct powers of two, so each sum is the union
+    masks = map(sum, combinations([1 << i for i in range(len(ctx.order))], size))
     return [m for m in masks if ctx.is_cover(m)]
 
 
 def _neighbors(ctx: PathCoverContext, mask: int) -> Iterator[int]:
-    for v in ctx.order:
-        vb = ctx.bit[v]
-        if mask & vb:
-            for u, ub in ctx.neighbor_bits[v]:
-                if ctx.slide_ok(mask, v, u):
-                    yield (mask ^ vb) | ub
+    """Each slide of a token of `mask` onto a free neighbour that leaves a
+    cover, by token bit low to high, then in adjacency order."""
+    moves = ctx.moves
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        paths, neighbor_bits = moves[low.bit_length() - 1]
+        for ub in neighbor_bits:
+            if not mask & ub:
+                new = (mask ^ low) | ub
+                for p in paths:
+                    if not p & new:
+                        break
+                else:
+                    yield new
 
 
 def _reachable_masks(

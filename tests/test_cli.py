@@ -175,7 +175,30 @@ class TestRigid:
         assert capsys.readouterr().out.strip() == ""
 
 
+# both covers are 4-path vertex covers of the 6-path, of sizes 2 and 1
+UNEQUAL_SIZE_INSTANCE = """\
+kpvcr 1
+k 4
+spine 6
+start s2 s5
+target s3
+"""
+
+
 class TestOracle:
+    @pytest.mark.parametrize("command", ["oracle", "decide"])
+    def test_unequal_sizes_answer_no(self, tmp_path, capsys, command):
+        path = tmp_path / "unequal.kpvcr"
+        path.write_text(UNEQUAL_SIZE_INSTANCE)
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().out == "NO\n"
+
+    def test_unequal_sizes_refuse_a_cap_below_one_first(self, tmp_path, capsys):
+        path = tmp_path / "unequal.kpvcr"
+        path.write_text(UNEQUAL_SIZE_INSTANCE)
+        assert main(["oracle", str(path), "--max-states", "0"]) == 2
+        assert "max_states must be >= 1" in capsys.readouterr().err
+
     def test_agrees_on_yes(self, yes_file, capsys):
         assert main(["oracle", yes_file]) == 0
         assert capsys.readouterr().out.strip() == "YES"
