@@ -7,7 +7,8 @@ of size psi..psi+extra for each k, and verifies:
   * (optionally) every ordered YES pair yields a validating witness.
 
 The summary line splits the time: `oracle_s` for cover enumeration and
-reachability classes, `engine_s` for signatures and witnesses.
+reachability classes, `engine_s` for signatures and witnesses; `peak_rss_mb`
+is the process's peak resident set size (`ru_maxrss`).
 
 Example:
     python3 scripts/run_enumeration_suite.py --max-spine 5 --max-leaves 2 --witnesses
@@ -16,6 +17,7 @@ Example:
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 
@@ -101,9 +103,11 @@ def main() -> int:
             print(f"... {graphs} graphs, {cases} cases, {pairs} pairs, "
                   f"{time.perf_counter() - t0:.1f}s", file=sys.stderr)
 
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     print(f"graphs={graphs} cases={cases} decision_mismatches={mismatches} "
           f"witness_pairs={pairs} witness_failures={bad_witnesses} "
           f"oracle_s={oracle_s:.2f} engine_s={engine_s:.2f} "
+          f"peak_rss_mb={peak_kib / 1024:.1f} "
           f"elapsed={time.perf_counter() - t0:.1f}s")
     return 1 if (mismatches or bad_witnesses) else 0
 

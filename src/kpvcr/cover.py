@@ -5,9 +5,10 @@ purpose: the test suite cross-checks it against exhaustive path enumeration,
 so the two routes must stay independent.
 
 is_kpvc memoises its verdicts on the forest (`CaterpillarForest._memo`),
-keyed by the exact cover and k: the signatures, witnesses and checks of a
-forest meet the same start covers again.  A cover is validated only on a
-miss, so an entry exists only for a cover validated on that forest.
+one table per k keyed by the cover's own `occupied` frozenset, so a verdict
+adds no object: the signatures, witnesses and checks of a forest meet the
+same start covers again.  A cover is validated only on a miss, so an entry
+exists only for a cover validated on that forest.
 
 partition implements the greedy decomposition into properly rooted subtrees:
 repeatedly take the deepest vertex v (ties by smallest id) whose subtree
@@ -77,12 +78,12 @@ class PartitionResult(Record):
 
 def is_kpvc(forest: CaterpillarForest, tokens: TokenSet) -> bool:
     """True iff removing the occupied vertices leaves no k-vertex path."""
-    key = ("kpvc", tokens.occupied, tokens.k)
-    verdict = forest._memo.get(key)
+    verdicts = forest._memo["kpvc", tokens.k]
+    verdict = verdicts.get(tokens.occupied)
     if verdict is None:
         tokens.validate_on(forest)
         rest = forest.delete(tokens.occupied)
-        verdict = forest._memo[key] = rest.longest_path_vertices() < tokens.k
+        verdict = verdicts[tokens.occupied] = rest.longest_path_vertices() < tokens.k
     return verdict
 
 

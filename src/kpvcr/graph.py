@@ -29,6 +29,7 @@ that object.  No module keeps a module-level cache.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 from operator import attrgetter, itemgetter
@@ -343,12 +344,14 @@ class CaterpillarForest(Record):
         return {v: c for c in self.components for v in c.all_vertices()}
 
     @cached_property
-    def _memo(self) -> dict[tuple, object]:
-        """Verdicts about covers of this forest, keyed by (kind, cover, k):
-        the planner's signatures and `cover.is_kpvc`'s verdicts on start
-        covers; also G - R per rigid set R, keyed by ("minus", R).  Values
-        never hold the forest, which would make a cycle."""
-        return {}
+    def _memo(self) -> defaultdict[tuple[str, int | None], dict]:
+        """Verdicts about covers of this forest, one table per (kind, k):
+        `cover.is_kpvc`'s verdicts on start covers and the planner's
+        signatures, keyed by the cover's own `occupied` frozenset, so a
+        remembered cover adds no object; the planner's G - R per rigid set
+        R and its interned signatures, at k = None.  Values never hold the
+        forest, which would make a cycle."""
+        return defaultdict(dict)
 
     def adjacency(self) -> dict[VertexId, tuple[VertexId, ...]]:
         return {v: c.neighbors(v) for c in self.components for v in c.all_vertices()}

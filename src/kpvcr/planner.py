@@ -66,14 +66,19 @@ def reachability_signature(forest: CaterpillarForest, I: TokenSet) -> Signature:
 
 def _signature(forest: CaterpillarForest, occupied: frozenset[VertexId], k: int) -> Signature:
     """Tokens outside R are counted through G - R's vertex table, once
-    each; a component of G - R without a token costs nothing here."""
-    key = ("signature", occupied, k)
-    sig = forest._memo.get(key)
+    each; a component of G - R without a token costs nothing here.
+
+    Memoised on the forest, one table per k keyed by the cover's own
+    `occupied` frozenset, and interned per forest, so the covers of one
+    class share one signature and a remembered cover adds no object."""
+    signatures = forest._memo["signature", k]
+    sig = signatures.get(occupied)
     if sig is None:
         rigid = rigid_set(forest, TokenSet(occupied, k)).rigid
         component = _minus(forest, rigid)._component
         counts = Counter(component[v]._min_vertex for v in occupied - rigid)
-        sig = forest._memo[key] = (len(occupied), rigid, frozenset(counts.items()))
+        sig = (len(occupied), rigid, frozenset(counts.items()))
+        sig = signatures[occupied] = forest._memo["interned", None].setdefault(sig, sig)
     return sig
 
 
@@ -83,10 +88,10 @@ def _minus(forest: CaterpillarForest, rigid: frozenset[VertexId]) -> Caterpillar
     the forest itself, which its own memo must not hold."""
     if not rigid:
         return forest
-    key = ("minus", rigid)
-    rest = forest._memo.get(key)
+    minus = forest._memo["minus", None]
+    rest = minus.get(rigid)
     if rest is None:
-        rest = forest._memo[key] = forest.delete(rigid)
+        rest = minus[rigid] = forest.delete(rigid)
     return rest
 
 

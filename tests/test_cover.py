@@ -57,6 +57,11 @@ class TestIsKpvc:
         # s3 s4 s5 l5.1 remains uncovered
         assert not is_kpvc(cat(5, {1: 1, 5: 1}), toks(4, "s2"))
 
+    def test_remembered_verdict_holds_only_at_its_k(self):
+        # the forest remembers both verdicts on the same cover, one per k
+        G = cat(5, {1: 1, 5: 1})
+        assert [is_kpvc(G, toks(k, "s2")) for k in (4, 5, 4, 5)] == [False, True] * 2
+
     def test_rejects_unknown_vertex(self):
         with pytest.raises(InputError):
             is_kpvc(cat(3), toks(4, "s9"))

@@ -5,6 +5,7 @@ Reachability verdicts frozen below were confirmed against the breadth-first
 search over whole cover configurations (oracle module).
 """
 
+import gc
 import random
 import time
 
@@ -26,6 +27,7 @@ from kpvcr import (
     VertexId,
     build_sequence,
     construct_si,
+    enumerate_kpvcs,
     is_kpvc,
     is_ts_reachable,
     oracle_reachable,
@@ -33,6 +35,7 @@ from kpvcr import (
     random_instance,
     reachability_signature,
     render_witness,
+    rigid_set,
     validate_sequence,
 )
 
@@ -106,14 +109,53 @@ class TestIsTsReachable:
     @settings(deadline=None, max_examples=25)
     def test_matches_configuration_bfs(self, inst):
         G, k, I = inst
-        from kpvcr import enumerate_kpvcs
-
         pool = sorted(
             enumerate_kpvcs(G, k, len(I)),
             key=lambda t: sorted(v.sort_key for v in t.occupied),
         )
         for J in pool[:6]:
             assert is_ts_reachable(G, I, J) == oracle_reachable(G, I, J)
+
+
+class TestSignatureMemo:
+    """The forest remembers each decided cover in its own tables, without
+    a new object per cover, and later calls reuse what it remembers."""
+
+    def test_remembering_a_cover_adds_no_object(self):
+        # the sweep family's largest case: 193 covers, one class
+        G = cat(5, {1: 2, 2: 1, 3: 2, 5: 2})
+        covers = enumerate_kpvcs(G, 4, 4)
+        assert len(covers) == 193
+        gc.collect()
+        before = len(gc.get_objects())
+        for cov in covers:
+            reachability_signature(G, cov)
+        gc.collect()
+        assert len(gc.get_objects()) - before < len(covers)
+
+    def test_covers_of_one_class_share_a_signature(self):
+        G = cat(6, {1: 1, 2: 1, 3: 1, 6: 1})
+        slack = (toks(4, "s1", "s2", "s4"), toks(4, "l2.1", "s3", "l6.1"))
+        stuck = (toks(4, "s2", "s4"), toks(4, "s2", "s5"))
+        for I, J in (slack, stuck):
+            assert is_ts_reachable(G, I, J)
+            assert reachability_signature(G, I) is reachability_signature(G, J)
+        assert reachability_signature(G, stuck[0])[1]
+
+    def test_witness_reuses_the_decision(self, monkeypatch):
+        G = cat(6, {1: 1, 2: 1, 3: 1, 6: 1})
+        I, J = toks(4, "s1", "s2", "s4"), toks(4, "l2.1", "s3", "l6.1")
+        assert is_ts_reachable(G, I, J) and not reachability_signature(G, I)[1]
+        calls = []
+
+        def counting(forest, tokens):
+            calls.append(tokens)
+            return rigid_set(forest, tokens)
+
+        monkeypatch.setattr("kpvcr.planner.rigid_set", counting)
+        seq = build_sequence(G, I, J)
+        assert validate_sequence(G, 4, seq) and seq.end.occupied == J.occupied
+        assert calls == []
 
 
 class TestTsSequence:
@@ -382,7 +424,7 @@ class TestValidateSequenceLinear:
         monkeypatch.setattr("kpvcr.instance.is_kpvc", counting)
         assert validate_sequence(G, 4, seq)
         assert len(seq) > 2500 and calls == [seq.start]
-        assert list(G._memo) == [("kpvc", seq.start.occupied, 4)]
+        assert G._memo == {("kpvc", 4): {seq.start.occupied: True}}
 
 
 class TestBuildSequenceRigidSplit:
@@ -640,8 +682,6 @@ class TestBuildSequence:
     @settings(deadline=None, max_examples=40)
     def test_witness_for_every_sampled_yes_pair(self, inst, data):
         G, k, I = inst
-        from kpvcr import enumerate_kpvcs
-
         pool = sorted(
             (
                 J
