@@ -6,13 +6,26 @@ partition / is_kpvc.
 """
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpvcr import InputError, S, TokenSet, VertexId, is_kpvc, minimum_cover_size, partition
+from kpvcr import (
+    GenerateConfig,
+    InputError,
+    S,
+    TokenSet,
+    VertexId,
+    enumerate_caterpillars,
+    is_kpvc,
+    minimum_cover_size,
+    partition,
+    random_instance,
+)
+from kpvcr._kpaths import PathCoverContext
 from kpvcr.cover import _partition_greedy
 
 from conftest import cat, caterpillars, toks
@@ -74,6 +87,70 @@ class TestIsKpvc:
         sub = data.draw(st.sets(st.sampled_from(verts), max_size=len(verts)))
         expected = not _has_k_path(_adj(G), set(sub), k)
         assert is_kpvc(G, TokenSet.of(k, sub)) == expected
+
+
+class TestIsKpvcRoutes:
+    """is_kpvc against the longest path of G - I built by `delete`, and
+    against the oracle's k-path masks, on covers and non-covers alike."""
+
+    @staticmethod
+    def _verdict(G, k, occ, paths):
+        got = is_kpvc(G, TokenSet(occ, k))
+        assert got == (G.delete(occ).longest_path_vertices() < k), (G, k, sorted(occ))
+        assert got == paths.is_cover(paths.mask_of(occ)), (G, k, sorted(occ))
+        return got
+
+    def test_every_token_subset_of_the_small_family(self):
+        verdicts = Counter()
+        for G in enumerate_caterpillars(5, 2):
+            if G.n > 8:
+                continue
+            verts = sorted(G.vertices)
+            for k in range(2, 7):
+                paths = PathCoverContext(G, k)
+                for size in range(len(verts) + 1):
+                    for occ in combinations(verts, size):
+                        verdicts[self._verdict(G, k, frozenset(occ), paths)] += 1
+        assert verdicts == {True: 41089, False: 15731}
+
+    @staticmethod
+    def _random_sets(rng, verts, cover):
+        """The cover, the cover less one token, and sparse random sets."""
+        yield cover
+        if cover:
+            yield cover - {rng.choice(sorted(cover))}
+        for density in (0.1, 0.25, 0.4, 0.6):
+            yield frozenset(v for v in verts if rng.random() < density)
+
+    @pytest.mark.parametrize("spine", [12, 150, 2000])
+    def test_random_sets_on_generated_caterpillars(self, spine):
+        rng = random.Random(spine)
+        verdicts = Counter()
+        for k in (4, 5, 6):
+            inst = random_instance(GenerateConfig(spine, 0.4, k, seed=spine + k))
+            G = inst.forest()
+            paths = PathCoverContext(G, k)
+            for occ in self._random_sets(rng, sorted(G.vertices), frozenset(inst.start)):
+                verdicts[self._verdict(G, k, occ, paths)] += 1
+        assert verdicts[True] >= 3 and verdicts[False] >= 3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_sets_on_forests_made_by_delete(self, seed):
+        """G - D of a generated caterpillar is a forest with spine runs,
+        orphaned leaves and untouched leaves; the start cover less D still
+        covers it."""
+        rng = random.Random(seed)
+        verdicts = Counter()
+        for k in (4, 5):
+            inst = random_instance(GenerateConfig(120, 0.5, k, seed=seed))
+            G = inst.forest()
+            D = frozenset(v for v in sorted(G.vertices) if rng.random() < 0.12)
+            H = G.delete(D)
+            assert len(H.components) > 1
+            paths = PathCoverContext(H, k)
+            for occ in self._random_sets(rng, sorted(H.vertices), frozenset(inst.start) - D):
+                verdicts[self._verdict(H, k, occ, paths)] += 1
+        assert verdicts[True] >= 2 and verdicts[False] >= 2
 
 
 class TestPartition:
