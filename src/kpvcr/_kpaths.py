@@ -17,8 +17,8 @@ It walks the token's arms over an int of the component's routing ranks
 (`graph.Ranks`) and reads only the k - 1 positions either side.  A leaf
 token sliding onto its free spine vertex needs no test, because every
 k-path through a leaf passes its spine vertex.  is_kpvc in cover.py
-deliberately uses a different route (deletion + longest path) so the
-routes can cross-check.
+deliberately takes a different route, the longest path of the surviving
+spine runs after an induced deletion, so the routes can cross-check.
 
 Nothing here is cached at module level: a PathCoverContext enumerates the
 paths of its forest once and lives as long as the oracle call holding it.

@@ -1,8 +1,10 @@
 """k-path vertex covers on caterpillar forests.
 
 is_kpvc goes through induced deletion plus a longest-path computation, on
-purpose: the test suite cross-checks it against exhaustive path enumeration,
-so the two routes must stay independent.
+purpose: `CaterpillarForest.longest_path_without` measures G - I over the
+surviving spine runs of `delete`'s rules without building it, and nothing
+comes from `_kpaths` or `rigidity`.  The test suite cross-checks it against
+exhaustive path enumeration, so the routes must stay independent.
 
 is_kpvc memoises its verdicts on the forest (`CaterpillarForest._memo`),
 one table per k keyed by the cover's own `occupied` frozenset, so a verdict
@@ -77,13 +79,14 @@ class PartitionResult(Record):
 
 
 def is_kpvc(forest: CaterpillarForest, tokens: TokenSet) -> bool:
-    """True iff removing the occupied vertices leaves no k-vertex path."""
+    """True iff removing the occupied vertices leaves no k-vertex path,
+    read off the longest surviving spine run of G - I."""
     verdicts = forest._memo["kpvc", tokens.k]
     verdict = verdicts.get(tokens.occupied)
     if verdict is None:
         tokens.validate_on(forest)
-        rest = forest.delete(tokens.occupied)
-        verdict = verdicts[tokens.occupied] = rest.longest_path_vertices() < tokens.k
+        longest = forest.longest_path_without(tokens.occupied)
+        verdict = verdicts[tokens.occupied] = longest < tokens.k
     return verdict
 
 

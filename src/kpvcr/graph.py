@@ -367,61 +367,76 @@ class CaterpillarForest(Record):
     # -- surgery -----------------------------------------------------------
 
     def delete(self, drop: Iterable[VertexId]) -> "CaterpillarForest":
-        """Induced subgraph on the surviving vertices.
+        """Induced subgraph on the surviving vertices (`_surviving_runs`).
 
         No edges are invented: leaves whose spine vertex is deleted become
         singleton components, and a spine splits into maximal surviving runs.
-        Deleting nothing returns the forest itself, memo included.
+        Untouched components are reused as they are, and deleting nothing
+        returns the forest itself, memo included.
         """
         dropset = frozenset(drop)
         if not dropset:
             return self
-        # group drops per component; untouched components are reused as-is
-        local: dict[int, set[VertexId]] = {}
-        for v in dropset:
-            local.setdefault(id(self.component_of(v)), set()).add(v)
         out: list[Caterpillar] = []
+        for comp, leaves, runs in self._surviving_runs(dropset):
+            if runs is None:
+                out.append(comp)
+            for lo, hi in runs or ():
+                if hi > lo:
+                    out.append(_raw_component(comp.spine[lo:hi], tuple(leaves[lo:hi])))
+                if hi < len(leaves):
+                    # orphaned leaves keep no edges: singletons
+                    out.extend(_raw_component((v,), ((),)) for v in leaves[hi])
+        return _raw_forest(tuple(out))
+
+    def longest_path_without(self, drop: Iterable[VertexId]) -> int:
+        """`self.delete(drop).longest_path_vertices()` without building the
+        forest: the longest of the surviving runs (`longest_path`, with a
+        leaf at each run end that keeps one), and 1 for an orphaned leaf."""
+        best = 0
+        for comp, leaves, runs in self._surviving_runs(drop):
+            for lo, hi in runs or ((0, len(leaves)),):
+                if hi > lo:
+                    best = max(best, longest_path(hi - lo, len(leaves[lo]), len(leaves[hi - 1])))
+                elif hi < len(leaves) and leaves[hi]:
+                    best = max(best, 1)
+        return best
+
+    def _surviving_runs(self, drop: Iterable[VertexId]) -> Iterator[tuple]:
+        """The induced deletion of `drop`, the rules `delete` and
+        `longest_path_without` share.  Per component: the component, the
+        surviving leaves of each spine position, and the maximal surviving
+        spine runs as (start, stop) position ranges, one ending at each
+        deleted spine vertex (empty between two adjacent ones) and one at
+        the spine's end; the leaves of a deleted spine vertex at a run's
+        stop are orphaned.  The runs are None for an untouched component."""
+        local: dict[int, set[VertexId]] = {}
+        for v in drop:
+            local.setdefault(id(self.component_of(v)), set()).add(v)
         for comp in self.components:
             mine = local.get(id(comp))
             if mine is None:
-                out.append(comp)
-            else:
-                out.extend(_delete_in_component(comp, frozenset(mine)))
-        return _raw_forest(tuple(out))
+                yield comp, comp.leaves, None
+                continue
+            ranks = comp._ranks
+            cuts: list[int] = []
+            leaf_posns: set[int] = set()
+            for v in mine:
+                r = ranks.rank[v]
+                i = ranks.pos[r]
+                if ranks.spine[i] == r:
+                    cuts.append(i)
+                else:
+                    leaf_posns.add(i)
+            # only positions that lose a leaf need their tuple rebuilt
+            leaves = list(comp.leaves)
+            for i in leaf_posns:
+                leaves[i] = tuple(v for v in leaves[i] if v not in mine)
+            cuts.sort()
+            yield comp, leaves, list(zip([0] + [i + 1 for i in cuts], cuts + [len(leaves)]))
 
     def canonical(self) -> "CaterpillarForest":
         """Normal form: every component in its canonical form (see
         Caterpillar._canonical_other), sorted by smallest vertex."""
         comps = (c._canonical_other or c for c in self.components)
         return _raw_forest(tuple(sorted(comps, key=attrgetter("_min_vertex"))))
-
-
-def _delete_in_component(comp: Caterpillar, drop: frozenset[VertexId]) -> list[Caterpillar]:
-    ranks = comp._ranks
-    spine_cuts: list[int] = []
-    leaf_posns: set[int] = set()
-    for v in drop:
-        r = ranks.rank[v]
-        i = ranks.pos[r]
-        if ranks.spine[i] == r:
-            spine_cuts.append(i)
-        else:
-            leaf_posns.add(i)
-    # only positions that lose a leaf need their tuple rebuilt
-    leaves = list(comp.leaves)
-    for i in leaf_posns:
-        leaves[i] = tuple(v for v in leaves[i] if v not in drop)
-    if not spine_cuts:
-        return [_raw_component(comp.spine, tuple(leaves))]
-    spine_cuts.sort()
-    out: list[Caterpillar] = []
-    prev = 0
-    for i in spine_cuts:
-        if i > prev:
-            out.append(_raw_component(comp.spine[prev:i], tuple(leaves[prev:i])))
-        # orphaned leaves keep no edges: singletons
-        out.extend(_raw_component((v,), ((),)) for v in leaves[i])
-        prev = i + 1
-    if prev < len(comp.spine):
-        out.append(_raw_component(comp.spine[prev:], tuple(leaves[prev:])))
-    return out

@@ -28,8 +28,10 @@ ends and needs no subproblem bounds.  The feed test walks the endpoint
 greedy from the region's edge outward on the subproblem's leaf counts
 (`cover._endpoint_pieces` over `_Sub.count`, the walk `partition` builds
 its pieces from) and counts each piece's tokens as a popcount of `span`.
-The recursion runs on an explicit stack: `_decide` yields the subproblems
-it needs and a driver loop sends back their verdicts.
+The recursion runs on an explicit stack: `_decide` returns the verdicts
+its first rule settles (100,260 of the 123,597 decisions on the sweep
+benchmark's family), and otherwise the rest of the rule chain as a
+generator, which yields the subproblems it needs to `is_rigid`'s loop.
 
 The public per-token helpers take vertex ids and work on a whole
 component.  The path classes P(G, I, u) behind `classify_k_paths` and
@@ -119,11 +121,6 @@ _MOVABLE = RigidDecision(False, "movable")
 def _bits(x: int, lo: int, hi: int) -> int:
     """The bits of x at ranks lo..hi - 1, shifted down to bit 0."""
     return x >> lo & ((1 << (hi - lo)) - 1)
-
-
-def _token_mask(ranks: Ranks, occupied: frozenset[VertexId]) -> int:
-    """The tokens on one component, as an int over its ranks."""
-    return ranks.mask_of(v for v in ranks.order if v in occupied)
 
 
 class _Sub:
@@ -235,7 +232,8 @@ def _whole_spine_vertex(
     ranks = forest.component_of(u)._ranks
     if u not in tokens:
         raise InputError(f"{u} is not occupied")
-    sub = _Sub(ranks, 0, len(ranks.spine) - 1, 0, _token_mask(ranks, tokens.occupied))
+    occ = ranks.mask_of(v for v in tokens.occupied if v in ranks.rank)
+    sub = _Sub(ranks, 0, len(ranks.spine) - 1, 0, occ)
     m, leaf = sub.locate(ranks.rank[u])
     if leaf:
         raise InputError(f"{u} is a leaf, not a spine vertex")
@@ -479,6 +477,7 @@ def _anchors(sub: _Sub, m: int, k: int) -> list[int]:
 
 
 _Query = tuple | None  # a subproblem memo key, None for an isolated vertex
+_Rest = Generator[_Query, RigidDecision, RigidDecision]
 
 
 class _RigidityContext:
@@ -486,9 +485,10 @@ class _RigidityContext:
 
     Keys are `(ranks, lo, hi, deleted leaves, u)`: a token's verdict only
     depends on its own component, so anchor chains reaching the same split
-    share work.  The recursion always deletes one more token, so it
-    terminates.  It runs on an explicit stack, as `is_rigid` drives the
-    `_decide` generators.
+    share work, and all tokens of a `(ranks, lo, hi, deleted leaves)` share
+    one `_Sub`; both live as long as the query.  The recursion always
+    deletes one more token, so it terminates.  It runs on an explicit
+    stack, as `is_rigid` drives the generators `_decide` returns.
     """
 
     def __init__(self, forest: CaterpillarForest, tokens: TokenSet):
@@ -496,28 +496,34 @@ class _RigidityContext:
             raise UnsupportedParameterError(
                 "rigidity analysis supports k >= 4 only (k = 3 is open)"
             )
-        tokens.validate_on(forest)
         self.forest = forest
-        self.occupied = tokens.occupied
         self.k = tokens.k
         self._memo: dict[tuple, RigidDecision] = {}
-        self._masks: dict[Ranks, int] = {}
+        self._subs: dict[tuple, _Sub] = {}
         self._doubled: dict[tuple, dict[int, bool]] = {}
+        # the tokens grouped by component, in one pass that also validates them
+        groups: dict[Ranks, list[VertexId]] = {}
+        for v in tokens.occupied:
+            comp = forest._component.get(v)
+            if comp is None:
+                raise InputError(f"token on unknown vertex {v}")
+            groups.setdefault(comp._ranks, []).append(v)
+        self._masks = {ranks: ranks.mask_of(vs) for ranks, vs in groups.items()}
 
     def mask(self, ranks: Ranks) -> int:
         """The query's tokens on one component."""
-        got = self._masks.get(ranks)
-        if got is None:
-            got = self._masks[ranks] = _token_mask(ranks, self.occupied)
-        return got
+        return self._masks.get(ranks, 0)
 
     def verdict(self, u: VertexId) -> RigidDecision:
-        ranks = self.forest.component_of(u)._ranks
+        ranks = self.forest._component[u]._ranks  # u is a validated token
         return self.is_rigid((ranks, 0, len(ranks.spine) - 1, 0, ranks.rank[u]))
 
     def is_rigid(self, key: tuple) -> RigidDecision:
-        stack = [(key, self._decide(key))]
-        answer: RigidDecision | None = None
+        answer = self._decide(key)
+        if answer.__class__ is RigidDecision:
+            return answer
+        stack = [(key, answer)]
+        answer = None
         while stack:
             top, gen = stack[-1]
             try:
@@ -531,27 +537,42 @@ class _RigidityContext:
                 continue
             answer = self._memo.get(query)
             if answer is None:
-                stack.append((query, self._decide(query)))
+                answer = self._decide(query)
+                if answer.__class__ is RigidDecision:
+                    self._memo[query] = answer
+                else:
+                    stack.append((query, answer))
+                    answer = None
         return answer
 
-    def _decide(self, key: tuple) -> Generator[_Query, RigidDecision, RigidDecision]:
+    def _decide(self, key: tuple) -> RigidDecision | _Rest:
+        """The verdict on token u of the subproblem `key` when it needs no
+        smaller subproblem: u is a leaf whose spine neighbour is free, or a
+        spine vertex without neighbours or with an immediately valid slide.
+        Otherwise the rest of the rule chain, a generator for `is_rigid`."""
         ranks, lo, hi, dl, u = key
-        sub = _Sub(ranks, lo, hi, dl, self.mask(ranks))
-        tok = sub.tok
-        k = self.k
+        sub = self._subs.get(key[:4])
+        if sub is None:
+            sub = self._subs[key[:4]] = _Sub(ranks, lo, hi, dl, self.mask(ranks))
         m, leaf = sub.locate(u)
         if leaf:
             nbr = ranks.spine[m]
-            if tok >> nbr & 1 and (yield sub.child(u, nbr)).rigid:
-                return _LEMMA_1B
-            return _MOVABLE
+            return self._leaf(sub, u, nbr) if sub.tok >> nbr & 1 else _MOVABLE
         nbrs = sub.neighbors(m)
         if not nbrs:
             return _LEMMA_1A
         # spine vertex: a token with an immediately valid slide is movable
         for w in nbrs:
-            if not tok >> w & 1 and slide_ok(ranks, sub.occ, m, w, k):
+            if not sub.tok >> w & 1 and slide_ok(ranks, sub.occ, m, w, self.k):
                 return _MOVABLE
+        return self._spine(sub, u, m, nbrs)
+
+    def _leaf(self, sub: _Sub, u: int, nbr: int) -> _Rest:
+        return _LEMMA_1B if (yield sub.child(u, nbr)).rigid else _MOVABLE
+
+    def _spine(self, sub: _Sub, u: int, m: int, nbrs: list[int]) -> _Rest:
+        tok = sub.tok
+        k = self.k
         if all(tok >> v & 1 for v in nbrs):
             for v in nbrs:
                 if not (yield sub.child(u, v)).rigid:

@@ -63,6 +63,14 @@ def after_deletions(draw):
     return G.delete(drop)
 
 
+@st.composite
+def forest_and_drop(draw):
+    """A caterpillar, or a forest left by a deletion, and a vertex set."""
+    G = draw(st.one_of(caterpillars(max_spine=5, max_leaves=3), after_deletions()))
+    verts = sorted(G.vertices)
+    return G, frozenset(draw(st.sets(st.sampled_from(verts))) if verts else ())
+
+
 class TestLongestPath:
     def test_spine_with_end_leaves(self):
         # exhaustive path enumeration: l1.1 s1 .. s5 l5.1
@@ -87,6 +95,19 @@ class TestLongestPath:
     @example(cat(6, {1: 1, 3: 3, 6: 2}).delete(vs("s4", "l6.1")))  # several components
     def test_matches_enumeration_oracle(self, G):
         assert G.longest_path_vertices() == _longest_path_oracle(_adj_oracle(G))
+
+    @given(forest_and_drop())
+    @settings(deadline=None, max_examples=150)
+    @example((cat(3, {2: 2}), vs("s1", "s2", "s3")))  # orphaned leaves only
+    @example((cat(2), vs("s1", "s2")))  # nothing left
+    @example((cat(5, {5: 1}).delete(vs("s3")), vs("s1")))  # s4 s5 l5.1 untouched
+    @example((cat(6, {1: 1, 3: 3, 6: 2}), vs("s4", "s5", "l6.1")))
+    def test_without_matches_enumeration_oracle(self, case):
+        """G - drop's longest path, measured without building G - drop,
+        against path enumeration on G's own adjacency less drop."""
+        G, drop = case
+        adj = {v: ns - drop for v, ns in _adj_oracle(G).items() if v not in drop}
+        assert G.longest_path_without(drop) == _longest_path_oracle(adj)
 
 
 class TestDelete:
