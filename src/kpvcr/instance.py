@@ -34,8 +34,9 @@ MAGIC = "kpvcr 1"
 
 # Upper bound on spine + leaves.  Parsing builds every vertex, so without it
 # a one-line file such as `spine 1000000000` would allocate until the
-# process dies.  It sits 20 times above the largest instances the tests and
-# benchmarks decide (n ~ 5000).
+# process dies.  CI decides, witnesses and checks instances of exactly this
+# size, each under `timeout 60`: a star with one token moved, and the full
+# star with all 49,999 leaf tokens moved.
 MAX_VERTICES = 100_000
 
 
@@ -133,8 +134,7 @@ def parse_instance(text: str) -> InstanceFile:
                 raise _fail(f"leaf position {p} repeated", "syntax", lineno)
             if c < 0:
                 raise _fail("negative leaf count", "syntax", lineno)
-            if c:
-                leaves[p] = c
+            leaves[p] = c
 
     n = spine + sum(leaves.values())
     if n > MAX_VERTICES:
@@ -158,7 +158,7 @@ def parse_instance(text: str) -> InstanceFile:
     inst = InstanceFile(
         k=k,
         spine=spine,
-        leaves=tuple(sorted(leaves.items())),
+        leaves=tuple(sorted((i, c) for i, c in leaves.items() if c)),
         start=tuple(sorted(v for _, v in start)),
         target=tuple(sorted(v for _, v in target)),
     )

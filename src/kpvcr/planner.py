@@ -117,18 +117,20 @@ def is_ts_reachable(forest: CaterpillarForest, I: TokenSet, J: TokenSet) -> bool
 def build_sequence(forest: CaterpillarForest, I: TokenSet, J: TokenSet) -> TsSequence:
     if not is_ts_reachable(forest, I, J):
         raise LogicError("witness requested for a NO instance")
-    rest = _minus(forest, _signature(forest, I.occupied, I.k)[1])
+    rigid = _signature(forest, I.occupied, I.k)[1]
+    rest = _minus(forest, rigid).canonical()
     moves: list[Move] = []
-    for comp in rest.canonical().components:
+    for comp in rest.components:
         verts = frozenset(comp.all_vertices())
         ic = I.occupied & verts
         jc = J.occupied & verts
         if ic == jc:
             continue
-        # one fixpoint step: the reduced covers must carry no rigid tokens
-        for cov in (ic, jc):
-            if _signature(rest, cov, I.k)[1]:
-                raise LogicError("rigid token survived the reduction")
+        # one fixpoint step: no rigid token on the reduced covers.  With R
+        # empty they are I's and J's own, whose rigid sets the decision found
+        # empty (a verdict reads only its token's component)
+        if rigid and any(rigid_set(rest, TokenSet(cov, I.k)).rigid for cov in (ic, jc)):
+            raise LogicError("rigid token survived the reduction")
         if comp.longest_path_vertices() < I.k:
             router = _Router(comp._ranks, I.k, ic)
             router.walk_free(comp._ranks.mask_of(jc))

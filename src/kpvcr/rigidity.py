@@ -194,17 +194,19 @@ class _Sub:
         out.extend(self.leaves(m))
         return out
 
-    def span(self, i: int, j: int) -> int:
-        """The tokens on spine positions i..j, their leaves and the run ends
-        folded onto them, shifted down to bit 0 (0 when i > j)."""
-        if i > j:
-            return 0
-        ranks = self.ranks
+    def rank_range(self, i: int, j: int) -> tuple[int, int]:
+        """The ranks lo..hi - 1 of spine positions i..j (i <= j), their
+        leaves and the run ends folded onto them."""
         if i == self.a:
             i = self.lo
         if j == self.b:
             j = self.hi
-        return _bits(self.tok, ranks.first[i], ranks.spine[j] + 1)
+        return self.ranks.first[i], self.ranks.spine[j] + 1
+
+    def span(self, i: int, j: int) -> int:
+        """The tokens on `rank_range(i, j)`, shifted down to bit 0 (0 when
+        i > j)."""
+        return _bits(self.tok, *self.rank_range(i, j)) if i <= j else 0
 
     def child(self, u: int, v: int) -> tuple | None:
         """Memo key of v's subproblem once u is deleted as well, or None
@@ -326,14 +328,9 @@ def find_h_regions(
     k = tokens.k
     if k < 3:
         raise InputError("H-regions require k >= 3")
-    ranks = sub.ranks
 
     def window(a: int, b: int) -> frozenset[VertexId]:
-        # spine positions a..b and their leaves, with the run ends folded
-        # onto a or b, as in `span`
-        i = sub.lo if a == sub.a else a
-        j = sub.hi if b == sub.b else b
-        return frozenset(ranks.order[ranks.first[i] : ranks.spine[j] + 1])
+        return frozenset(sub.ranks.order[slice(*sub.rank_range(a, b))])
 
     def witness(a: int, b: int) -> tuple[KPath, KPath] | None:
         return _h2_witness(_classify(sub, tokens.occupied, u, m, k, window(a, b)), u, k)

@@ -81,6 +81,19 @@ class TestParseInstance:
             parse_instance(text)
         assert ei.value.code == "syntax" and ei.value.line == 4
 
+    @pytest.mark.parametrize("items", ["1=0 1=2", "1=2 1=0"])
+    def test_repeated_leaf_position(self, items):
+        # a position given twice is refused, whichever count is 0
+        text = f"kpvcr 1\nk 4\nspine 3\nleaves {items}\nstart s2\ntarget s2\n"
+        with pytest.raises(InstanceFormatError) as ei:
+            parse_instance(text)
+        assert ei.value.code == "syntax" and ei.value.line == 4
+        assert str(ei.value) == "line 4: leaf position 1 repeated"
+
+    def test_zero_leaf_count_is_not_kept(self):
+        inst = parse_instance("kpvcr 1\nk 4\nspine 3\nleaves 1=0 3=1\nstart s2\ntarget s2\n")
+        assert inst.leaves == ((3, 1),)
+
     def test_unknown_directive(self):
         with pytest.raises(InstanceFormatError) as ei:
             parse_instance("kpvcr 1\nflavor 2\n")

@@ -20,6 +20,7 @@ from kpvcr import (
     InputError,
     L,
     LogicError,
+    RigidReport,
     TokenSet,
     TsSequence,
     UnsupportedParameterError,
@@ -41,7 +42,9 @@ from kpvcr import (
 
 import kpvcr.instance
 from kpvcr._kpaths import slide_ok
-from kpvcr.planner import _last_mismatch, _Router
+from kpvcr.cli import main
+from kpvcr.graph import Ranks
+from kpvcr.planner import _last_mismatch, _minus, _Router
 
 from conftest import cat, covered_instances, toks, vs
 
@@ -156,6 +159,28 @@ class TestSignatureMemo:
         seq = build_sequence(G, I, J)
         assert validate_sequence(G, 4, seq) and seq.end.occupied == J.occupied
         assert calls == []
+
+    def test_a_rigid_token_left_on_g_minus_r_stops_the_witness(self, monkeypatch, tmp_path):
+        """The reduced-cover check: were a token of a routed G - R component
+        rigid there, the witness is an internal error (exit 4), not a
+        sequence."""
+        G = cat(6, {1: 1, 2: 1, 3: 1, 6: 1})
+        I, J = toks(4, "s2", "s4"), toks(4, "s2", "s5")
+        assert reachability_signature(G, I)[1] == vs("s2")
+
+        def rigid_off_g(forest, tokens):
+            # every token is rigid on a forest without s2, i.e. on G - R
+            report = rigid_set(forest, tokens)
+            if forest.has_vertex(S(2)):
+                return report
+            return RigidReport(tokens.occupied, report.rationale)
+
+        monkeypatch.setattr("kpvcr.planner.rigid_set", rigid_off_g)
+        with pytest.raises(LogicError, match="^rigid token survived the reduction$"):
+            build_sequence(G, I, J)
+        p = tmp_path / "stuck.kpvcr"
+        p.write_text("kpvcr 1\nk 4\nspine 6\nleaves 1=1 2=1 3=1 6=1\nstart s2 s4\ntarget s2 s5\n")
+        assert main(["witness", str(p)]) == 4
 
 
 class TestTsSequence:
@@ -457,6 +482,30 @@ class TestBuildSequenceRigidSplit:
         held = [c for c in rest.components if not I.occupied.isdisjoint(c.all_vertices())]
         assert sorted(m for m, _ in sig[2]) == sorted(min(c.all_vertices()) for c in held)
         assert sum(count for _, count in sig[2]) == len(I) - len(sig[1])
+
+    def test_one_vertex_table_per_routed_component(self, monkeypatch):
+        """After the decision, the witness checks and routes each G - R
+        component it changes on one `Ranks` table, the canonical
+        component's, and remembers nothing on G - R."""
+        inst = random_instance(GenerateConfig(spine=3000, leaf_prob=0.3, k=4, seed=1))
+        G, I, J = inst.forest(), inst.start_tokens(), inst.target_tokens()
+        assert is_ts_reachable(G, I, J)
+        R = reachability_signature(G, I)[1]
+        init = Ranks.__init__
+        built = 0
+
+        def counting(ranks, comp):
+            nonlocal built
+            built += 1
+            init(ranks, comp)
+
+        monkeypatch.setattr(Ranks, "__init__", counting)
+        build_sequence(G, I, J)
+        monkeypatch.undo()
+        changed = I.occupied ^ J.occupied
+        routed = [c for c in G.delete(R).canonical().components if changed & set(c.all_vertices())]
+        assert built == len(routed) == 90
+        assert not _minus(G, R)._memo
 
     def test_deletes_the_rigid_set_once(self, monkeypatch):
         """Both signatures and the witness share one G - R."""
