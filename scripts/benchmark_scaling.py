@@ -2,13 +2,13 @@
 """Benchmark rigid_set scaling, witness construction and validation on the
 slack path, and the full decision on random caterpillars.
 
-For each size, prints rigid_set's wall time on a random caterpillar's
-minimum cover, then the fitted log-log slope.  Then, for each size, times
-build_sequence and validate_sequence on the slack path's witness, and
-prints both slopes against n + moves.  The slack path is a bare path with k = 4:
-its left-rooted minimum cover plus the leftmost free vertex, against the
-right-rooted one plus the rightmost free vertex.  Optionally times a
-single end-to-end decide.
+For each size, prints rigid_set's and is_kpvc's wall times on a random
+caterpillar's minimum cover, then the fitted log-log slope of each.  Then,
+for each size, times build_sequence and validate_sequence on the slack
+path's witness, and prints both slopes against n + moves.  The slack path
+is a bare path with k = 4: its left-rooted minimum cover plus the leftmost
+free vertex, against the right-rooted one plus the rightmost free vertex.
+Optionally times a single end-to-end decide.
 
 Example:
     python3 scripts/benchmark_scaling.py --sizes 500 1000 2000 4000 --decide 5000
@@ -25,6 +25,7 @@ from kpvcr import (
     CaterpillarForest,
     TokenSet,
     build_sequence,
+    is_kpvc,
     is_ts_reachable,
     partition,
     rigid_set,
@@ -61,6 +62,20 @@ def slack_path(n: int, k: int = 4) -> tuple[CaterpillarForest, TokenSet, TokenSe
     return G, TokenSet.of(k, left), TokenSet.of(k, right)
 
 
+def time_is_kpvc(G: CaterpillarForest, cover: TokenSet) -> float:
+    """Best of three is_kpvc calls, each on a fresh forest over G's
+    components, so that no remembered verdict answers it."""
+    best = math.inf
+    for _ in range(3):
+        fresh = CaterpillarForest(G.components)
+        t0 = time.perf_counter()
+        ok = is_kpvc(fresh, cover)
+        best = min(best, time.perf_counter() - t0)
+    if not ok:
+        raise SystemExit(f"n={G.n}: the minimum cover is not a cover")
+    return best
+
+
 def fitted_slope(points: list[tuple[int, float]]) -> float:
     """Least-squares slope of log(time) against log(size)."""
     xs = [math.log(n) for n, _ in points]
@@ -82,6 +97,7 @@ def main() -> int:
     args = ap.parse_args()
 
     points: list[tuple[int, float]] = []
+    kpvc_points: list[tuple[int, float]] = []
     for target in args.sizes:
         G = graph_with_n(target, args.seed, args.leaf_prob)
         comp = G.components[0]
@@ -90,11 +106,14 @@ def main() -> int:
         report = rigid_set(G, cover)
         dt = time.perf_counter() - t0
         points.append((G.n, dt))
+        kpvc_s = time_is_kpvc(G, cover)
+        kpvc_points.append((G.n, kpvc_s))
         print(f"n={G.n:6d} tokens={len(cover):5d} rigid={len(report.rigid):5d} "
-              f"rigid_set {dt:8.2f}s")
+              f"rigid_set {dt:8.2f}s is_kpvc {kpvc_s:8.4f}s")
 
     if len(points) >= 2:
-        print(f"log-log slope: {fitted_slope(points):.2f}")
+        print(f"rigid_set log-log slope: {fitted_slope(points):.2f}")
+        print(f"is_kpvc log-log slope: {fitted_slope(kpvc_points):.2f}")
 
     build_points: list[tuple[int, float]] = []
     points = []

@@ -1,10 +1,10 @@
 """k-path vertex covers on caterpillar forests.
 
 is_kpvc goes through induced deletion plus a longest-path computation, on
-purpose: `CaterpillarForest.longest_path_without` measures G - I over the
-surviving spine runs of `delete`'s rules without building it, and nothing
-comes from `_kpaths` or `rigidity`.  The test suite cross-checks it against
-exhaustive path enumeration, so the routes must stay independent.
+purpose: `CaterpillarForest.longest_path_without` measures G - I, without
+building it, from `delete`'s one pass over I (spine cuts and lost leaves
+per touched component); nothing comes from `_kpaths` or `rigidity`.  The
+tests check it against path enumeration, so the routes stay independent.
 
 is_kpvc memoises its verdicts on the forest (`CaterpillarForest._memo`),
 one table per k keyed by the cover's own `occupied` frozenset, so a verdict

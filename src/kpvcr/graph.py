@@ -367,7 +367,7 @@ class CaterpillarForest(Record):
     # -- surgery -----------------------------------------------------------
 
     def delete(self, drop: Iterable[VertexId]) -> "CaterpillarForest":
-        """Induced subgraph on the surviving vertices (`_surviving_runs`).
+        """Induced subgraph on the surviving vertices (`_cuts`).
 
         No edges are invented: leaves whose spine vertex is deleted become
         singleton components, and a spine splits into maximal surviving runs.
@@ -377,63 +377,67 @@ class CaterpillarForest(Record):
         dropset = frozenset(drop)
         if not dropset:
             return self
+        touched = self._cuts(dropset)
         out: list[Caterpillar] = []
-        for comp, leaves, runs in self._surviving_runs(dropset):
-            if runs is None:
+        for comp in self.components:
+            if id(comp) not in touched:
                 out.append(comp)
-            for lo, hi in runs or ():
+                continue
+            cuts, lost = touched[id(comp)]
+            leaves = list(comp.leaves)
+            for i in lost:  # only a position that lost a leaf is rebuilt
+                leaves[i] = tuple(v for v in leaves[i] if v not in dropset)
+            lo = 0
+            for hi in (*sorted(cuts), len(leaves)):
                 if hi > lo:
                     out.append(_raw_component(comp.spine[lo:hi], tuple(leaves[lo:hi])))
                 if hi < len(leaves):
                     # orphaned leaves keep no edges: singletons
                     out.extend(_raw_component((v,), ((),)) for v in leaves[hi])
+                lo = hi + 1
         return _raw_forest(tuple(out))
 
     def longest_path_without(self, drop: Iterable[VertexId]) -> int:
         """`self.delete(drop).longest_path_vertices()` without building the
-        forest: the longest of the surviving runs (`longest_path`, with a
-        leaf at each run end that keeps one), and 1 for an orphaned leaf."""
+        forest: the longest of the surviving runs (`longest_path`, over the
+        leaves each run end keeps), and 1 for an orphaned leaf."""
         best = 0
-        for comp, leaves, runs in self._surviving_runs(drop):
-            for lo, hi in runs or ((0, len(leaves)),):
+        touched = self._cuts(frozenset(drop))
+        for comp in self.components:
+            if id(comp) not in touched:
+                best = max(best, comp.longest_path_vertices())
+                continue
+            cuts, lost = touched[id(comp)]
+            leaves = comp.leaves
+            lo = 0
+            for hi in (*sorted(cuts), len(leaves)):
                 if hi > lo:
-                    best = max(best, longest_path(hi - lo, len(leaves[lo]), len(leaves[hi - 1])))
-                elif hi < len(leaves) and leaves[hi]:
+                    first = len(leaves[lo]) - lost.get(lo, 0)
+                    last = len(leaves[hi - 1]) - lost.get(hi - 1, 0)
+                    best = max(best, longest_path(hi - lo, first, last))
+                elif hi < len(leaves) and len(leaves[hi]) > lost.get(hi, 0):
                     best = max(best, 1)
+                lo = hi + 1
         return best
 
-    def _surviving_runs(self, drop: Iterable[VertexId]) -> Iterator[tuple]:
-        """The induced deletion of `drop`, the rules `delete` and
-        `longest_path_without` share.  Per component: the component, the
-        surviving leaves of each spine position, and the maximal surviving
-        spine runs as (start, stop) position ranges, one ending at each
-        deleted spine vertex (empty between two adjacent ones) and one at
-        the spine's end; the leaves of a deleted spine vertex at a run's
-        stop are orphaned.  The runs are None for an untouched component."""
-        local: dict[int, set[VertexId]] = {}
+    def _cuts(self, drop: frozenset[VertexId]) -> dict[int, tuple[list[int], dict[int, int]]]:
+        """The induced deletion of `drop`, one pass that `delete` and
+        `longest_path_without` share.  Per touched component, keyed by its
+        id(): its spine cut positions, unsorted, and how many leaves each
+        position lost.  The surviving runs lie between consecutive cuts and
+        the spine's ends, and the leaves left at a cut are orphaned."""
+        touched: defaultdict[int, tuple[list[int], dict[int, int]]] = defaultdict(lambda: ([], {}))
         for v in drop:
-            local.setdefault(id(self.component_of(v)), set()).add(v)
-        for comp in self.components:
-            mine = local.get(id(comp))
-            if mine is None:
-                yield comp, comp.leaves, None
-                continue
+            comp = self.component_of(v)
+            cuts, lost = touched[id(comp)]
             ranks = comp._ranks
-            cuts: list[int] = []
-            leaf_posns: set[int] = set()
-            for v in mine:
-                r = ranks.rank[v]
-                i = ranks.pos[r]
-                if ranks.spine[i] == r:
-                    cuts.append(i)
-                else:
-                    leaf_posns.add(i)
-            # only positions that lose a leaf need their tuple rebuilt
-            leaves = list(comp.leaves)
-            for i in leaf_posns:
-                leaves[i] = tuple(v for v in leaves[i] if v not in mine)
-            cuts.sort()
-            yield comp, leaves, list(zip([0] + [i + 1 for i in cuts], cuts + [len(leaves)]))
+            r = ranks.rank[v]
+            i = ranks.pos[r]
+            if ranks.spine[i] == r:
+                cuts.append(i)
+            else:
+                lost[i] = lost.get(i, 0) + 1
+        return touched
 
     def canonical(self) -> "CaterpillarForest":
         """Normal form: every component in its canonical form (see

@@ -65,8 +65,8 @@ def reachability_signature(forest: CaterpillarForest, I: TokenSet) -> Signature:
 
 
 def _signature(forest: CaterpillarForest, occupied: frozenset[VertexId], k: int) -> Signature:
-    """Tokens outside R are counted through G - R's vertex table, once
-    each; a component of G - R without a token costs nothing here.
+    """Tokens outside R are counted once each through G - R's vertex table,
+    unless G is connected and R empty; a tokenless component costs nothing.
 
     Memoised on the forest, one table per k keyed by the cover's own
     `occupied` frozenset, and interned per forest, so the covers of one
@@ -75,9 +75,12 @@ def _signature(forest: CaterpillarForest, occupied: frozenset[VertexId], k: int)
     sig = signatures.get(occupied)
     if sig is None:
         rigid = rigid_set(forest, TokenSet(occupied, k)).rigid
-        component = _minus(forest, rigid)._component
-        counts = Counter(component[v]._min_vertex for v in occupied - rigid)
-        sig = (len(occupied), rigid, frozenset(counts.items()))
+        if rigid or len(forest.components) != 1:
+            component = _minus(forest, rigid)._component
+            counts = Counter(component[v]._min_vertex for v in occupied - rigid).items()
+        else:  # G - R is G's one component, holding every token
+            counts = [(forest.components[0]._min_vertex, len(occupied))] if occupied else ()
+        sig = (len(occupied), rigid, frozenset(counts))
         sig = signatures[occupied] = forest._memo["interned", None].setdefault(sig, sig)
     return sig
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from kpvcr import (
     Caterpillar,
     CaterpillarForest,
+    GenerateConfig,
     InputError,
     TokenSet,
     VertexId,
@@ -26,6 +27,7 @@ from kpvcr import (
     is_ts_reachable,
     parse_instance,
     partition,
+    random_instance,
     reachability_signature,
     rigid_set,
     validate_sequence,
@@ -108,6 +110,51 @@ class TestLongestPath:
         G, drop = case
         adj = {v: ns - drop for v, ns in _adj_oracle(G).items() if v not in drop}
         assert G.longest_path_without(drop) == _longest_path_oracle(adj)
+
+    @pytest.mark.parametrize("spine", [12, 150, 2000])
+    def test_without_matches_delete(self, spine):
+        """The two readers of the one deletion scan agree: G - drop's
+        longest path measured without building it is that of the forest
+        `delete` builds, on a generated caterpillar and on a forest made by
+        `delete` (orphaned leaves, untouched components), for the empty
+        drop and for drops that repeat vertices."""
+        rng = random.Random(spine)
+        for k in (4, 5):
+            G = random_instance(GenerateConfig(spine, 0.4, k, seed=spine + k)).forest()
+            (comp,) = G.components
+            # an inner spine vertex with leaves, to split G and orphan them
+            cut = rng.choice([s for s, ls in zip(comp.spine[1:-1], comp.leaves[1:-1]) if ls])
+            H = G.delete([cut] + [v for v in sorted(G.vertices) if rng.random() < 0.15])
+            assert len(H.components) > 1
+            assert any(c.spine[0].leaf_index for c in H.components)  # an orphaned leaf
+            for F in (G, H):
+                verts = sorted(F.vertices)
+                for density in (0.0, 0.02, 0.1, 0.3, 0.6):
+                    drop = [v for v in verts if rng.random() < density]
+                    for d in (drop, drop + drop[::2]):
+                        want = F.delete(d).longest_path_vertices()
+                        assert F.longest_path_without(d) == want, (F, sorted(d))
+
+    @pytest.mark.parametrize(
+        "G, drop, want",
+        [
+            (cat(3, {1: 2}), ["l1.1", "l1.1"], 4),  # l1.2 s1 s2 s3: one leaf lost, not two
+            (cat(3, {2: 2}), ["s2", "l2.1", "s2", "l2.1"], 1),  # l2.2 orphaned
+            (cat(5, {5: 1}), ["s3", "s3"], 3),  # s4 s5 l5.1
+        ],
+    )
+    def test_a_repeated_vertex_counts_once(self, G, drop, want):
+        drop = [VertexId.parse(x) for x in drop]
+        assert G.longest_path_without(drop) == want
+        assert G.delete(drop).longest_path_vertices() == want
+
+    def test_unknown_vertex(self):
+        G = cat(3, {2: 1})
+        for read in (G.delete, G.longest_path_without):
+            with pytest.raises(InputError, match=r"^unknown vertex s9$"):
+                read(vs("s2", "s9"))
+            with pytest.raises(InputError, match=r"^unknown vertex l1\.1$"):
+                read(vs("l1.1"))
 
 
 class TestDelete:

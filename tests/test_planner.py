@@ -8,6 +8,7 @@ search over whole cover configurations (oracle module).
 import gc
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -31,6 +32,7 @@ from kpvcr import (
     enumerate_kpvcs,
     is_kpvc,
     is_ts_reachable,
+    minimum_cover_size,
     oracle_reachable,
     partition,
     random_instance,
@@ -181,6 +183,38 @@ class TestSignatureMemo:
         p = tmp_path / "stuck.kpvcr"
         p.write_text("kpvcr 1\nk 4\nspine 6\nleaves 1=1 2=1 3=1 6=1\nstart s2 s4\ntarget s2 s5\n")
         assert main(["witness", str(p)]) == 4
+
+
+class TestSignatureCounts:
+    """The third element of a signature: the smallest vertex of each G - R
+    component holding a token, with its token count."""
+
+    def test_the_empty_cover_counts_nothing(self):
+        # this forest holds no 4-path, so the empty set covers it; a
+        # connected forest with R empty must not report its one component
+        # with 0 tokens
+        G = cat(3, {2: 1})
+        assert reachability_signature(G, TokenSet(frozenset(), 4)) == (0, frozenset(), frozenset())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_counts_on_a_forest_made_by_delete(self, seed):
+        """Every cover of a few multi-component forests against a Counter
+        over the components of G - R, built by `delete`."""
+        rng = random.Random(seed)
+        empty_r = 0
+        for k in (4, 5):
+            G = cat(9, {i: rng.randint(0, 2) for i in range(1, 10)})
+            G = G.delete([S(rng.randint(3, 7))] + rng.sample(sorted(G.vertices), 2))
+            assert len(G.components) > 1
+            psi = minimum_cover_size(G, k)
+            for size in range(psi, psi + 3):
+                for cov in enumerate_kpvcs(G, k, size):
+                    n, R, counts = reachability_signature(G, cov)
+                    rest = G.delete(R)
+                    want = Counter(rest.component_of(v)._min_vertex for v in cov.occupied - R)
+                    assert (n, counts) == (size, frozenset(want.items())), cov
+                    empty_r += not R
+        assert empty_r
 
 
 class TestTsSequence:
