@@ -114,6 +114,25 @@ class TestParseInstance:
         assert inst.forest() is inst.forest() is built[0]
         assert len(built) == 1
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("", 1, "expected header 'kpvcr 1'"),
+            ("# only a comment\n  # and another\n", 1, "expected header 'kpvcr 1'"),
+            ("kpvcr 1\nk 4\nspine 3\nstart s2\n", 1, "missing directive 'target'"),
+            ("kpvcr 1\nk four\nspine 3\nstart s2\ntarget s2\n", 2, "directive 'k' wants one integer"),
+            ("kpvcr 1\nk 1\nspine 3\nstart s2\ntarget s2\n", 2, "k must be >= 2"),
+            ("kpvcr 1\nk 4\nspine 3\nleaves 1:2\nstart s2\ntarget s2\n", 4, "bad leaves item '1:2'"),
+            ("kpvcr 1\nk 4\nspine 3\nleaves 1=-1\nstart s2\ntarget s2\n", 4, "negative leaf count"),
+            ("kpvcr 1\nk 4\nspine 3\nstart s0\ntarget s2\n", 4, "bad vertex id 's0'"),
+        ],
+    )
+    def test_syntax_errors_name_their_line(self, text, line, message):
+        with pytest.raises(InstanceFormatError) as ei:
+            parse_instance(text)
+        assert ei.value.code == "syntax" and ei.value.line == line
+        assert str(ei.value) == f"line {line}: {message}"
+
     def test_comments_and_blank_lines_ignored(self):
         text = "# top\n\nkpvcr 1\nk 4  # inline\nspine 3\nstart s2\ntarget s2\n"
         assert parse_instance(text).k == 4
@@ -185,6 +204,13 @@ class TestWitnessFormat:
     def test_empty_file(self):
         with pytest.raises(InstanceFormatError):
             parse_witness("# nothing\n")
+
+    @pytest.mark.parametrize("head", ["witnes 1", "witness x", "witness 1 2", "slide s1 s2"])
+    def test_bad_header(self, head):
+        with pytest.raises(InstanceFormatError) as ei:
+            parse_witness(f"# moves\n{head}\nslide s1 s2\n")
+        assert ei.value.code == "syntax" and ei.value.line == 2
+        assert str(ei.value) == "line 2: expected 'witness <m>' header"
 
     def test_zero_moves(self):
         assert parse_witness("witness 0\n") == ()

@@ -106,6 +106,22 @@ class TestIsTsReachable:
         with pytest.raises(UnsupportedParameterError):
             is_ts_reachable(G, toks(3, "s2"), toks(3, "s2"))
 
+    def test_covers_of_different_k(self):
+        with pytest.raises(InputError, match="covers disagree on k"):
+            is_ts_reachable(PATH5, toks(4, "s3"), toks(5, "s3"))
+
+    def test_invalid_start(self):
+        with pytest.raises(InputError, match="start token set is not a k-path vertex cover"):
+            is_ts_reachable(PATH5, toks(4, "s1"), toks(4, "s3"))
+
+    def test_signature_k3_unsupported(self):
+        with pytest.raises(UnsupportedParameterError):
+            reachability_signature(cat(3), toks(3, "s2"))
+
+    def test_signature_of_non_cover(self):
+        with pytest.raises(InputError, match="token set is not a k-path vertex cover"):
+            reachability_signature(PATH5, toks(4, "s1"))
+
     def test_signature_equality_iff_reachable(self):
         A, B = toks(4, "s2", "s4"), toks(4, "l1.1", "s3")
         assert reachability_signature(PATH5, A) == reachability_signature(PATH5, B)
@@ -275,6 +291,10 @@ class TestValidateSequence:
 
     def test_rejects_invalid_start(self):
         bad = TsSequence(toks(4, "s1"), ())
+        assert not validate_sequence(PATH5, 4, bad)
+
+    def test_rejects_start_on_unknown_vertex(self):
+        bad = TsSequence(toks(4, "s3", "s9"), ())
         assert not validate_sequence(PATH5, 4, bad)
 
     def test_empty_sequence_on_valid_cover(self):

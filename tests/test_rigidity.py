@@ -259,6 +259,10 @@ class TestRigidSet:
         assert set(rep.rationale) == vs("s4", "s8")
         assert rep.rigid == vs("s4", "s8")
 
+    def test_token_on_unknown_vertex(self):
+        with pytest.raises(InputError, match="token on unknown vertex s9"):
+            rigid_set(cat(5, {1: 1, 5: 1}), toks(4, "s3", "s9"))
+
     @given(covered_instances())
     @settings(deadline=None, max_examples=60)
     def test_matches_bfs_oracle(self, inst):
