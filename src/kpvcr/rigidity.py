@@ -34,9 +34,10 @@ benchmark's family), and otherwise the rest of the rule chain as a
 generator, which yields the subproblems it needs to `is_rigid`'s loop.
 
 The public per-token helpers take vertex ids and work on a whole
-component.  The path classes P(G, I, u) behind `classify_k_paths` and
-`find_h_regions` are filtered from `_kpaths._component_paths`, the one
-k-path enumerator.
+component.  The H-region window test is arm-length arithmetic for every
+k >= 3.  The path classes P(G, I, u) are listed only by `classify_k_paths`
+and to build the witness paths of a window `find_h_regions` has already
+found, filtered from `_kpaths._component_paths`, the one k-path enumerator.
 
 All entry points that answer rigidity questions require k >= 4; the feed
 test is unsound for k = 3 (a movable anchor with a non-minimum side cover
@@ -47,7 +48,7 @@ instead of a silent approximation.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Generator
+from collections.abc import Generator
 
 from ._kpaths import _component_paths, slide_ok
 # partition stays importable from here: the traced benchmark wraps
@@ -75,10 +76,6 @@ class PathClassification(Record):
         self, left: frozenset[KPath], right: frozenset[KPath], center: frozenset[KPath]
     ) -> None:
         self._init(left, right, center)
-
-    @property
-    def all_paths(self) -> frozenset[KPath]:
-        return self.left | self.right | self.center
 
 
 class RigidDecision(Record):
@@ -328,51 +325,41 @@ def find_h_regions(
     k = tokens.k
     if k < 3:
         raise InputError("H-regions require k >= 3")
-
-    def window(a: int, b: int) -> frozenset[VertexId]:
-        return frozenset(sub.ranks.order[slice(*sub.rank_range(a, b))])
-
-    def witness(a: int, b: int) -> tuple[KPath, KPath] | None:
-        return _h2_witness(_classify(sub, tokens.occupied, u, m, k, window(a, b)), u, k)
-
     out = []
-    for a, b in _find_h_regions(sub, m, k, witness if k == 3 else None):
-        paths = witness(a, b)
+    for a, b in _find_h_regions(sub, m, k):
+        window = frozenset(sub.ranks.order[slice(*sub.rank_range(a, b))])
+        paths = _h2_witness(_classify(sub, tokens.occupied, u, m, k, window))
         if paths is None:
             raise LogicError("H-region window without witness paths")
-        out.append(HRegion(window(a, b), paths, b - a + 1))
+        out.append(HRegion(window, paths, b - a + 1))
     return tuple(out)
 
 
-_Witness = Callable[[int, int], "tuple[KPath, KPath] | None"]
-
-
-def _check_window(
-    sub: _Sub, m: int, k: int, a: int, b: int, h2: _Witness | None = None
-) -> bool:
+def _check_window(sub: _Sub, m: int, k: int, a: int, b: int) -> bool:
     # (H.1): every non-u spine vertex of the window is token-free, leaves too
     if sub.span(a, m - 1) or sub.span(m + 1, b):
         return False
     # (H.2): two k-paths from u or a free leaf of u meeting only at u (or u
-    # plus one shared leaf of u).  For k >= 4 no k-path stays on L[u], which
-    # has 3 vertices at most, so one must run left and one right: u's free
-    # arm to the window end, a leaf there and a free leaf of u in front
-    # reach k vertices on both sides.  Listing the paths instead (`h2`, for
-    # k = 3) costs 20 % more `kpvcr decide` time on the benchmark's
-    # decide-rigid set
-    if h2 is not None:
-        return h2(a, b) is not None
-    lead = 2 if any(not sub.occ >> x & 1 for x in sub.leaves(m)) else 1
-    return all(
-        end != m
-        and lead + abs(end - m) + (1 if sub.leaves(end) else 0) >= k
+    # plus one shared leaf of u).  A side passes when u's free arm to the
+    # window end, a leaf there and a free leaf of u in front reach k
+    # vertices.  For k >= 4 no k-path stays on L[u], which has 3 vertices
+    # at most, so both sides must pass.  For k = 3 each pair of free leaves
+    # of u gives a leaf-u-leaf path, and two distinct ones share u and one
+    # leaf at most: 3 free leaves suffice, and 2 need one passing side
+    leaves = sub.leaves(m)
+    if k == 3:
+        leaves = [x for x in leaves if not sub.occ >> x & 1]
+        if len(leaves) >= 3:
+            return True
+    lead = 2 if any(not sub.occ >> x & 1 for x in leaves) else 1
+    sides = (
+        end != m and lead + abs(end - m) + (1 if sub.leaves(end) else 0) >= k
         for end in (a, b)
     )
+    return any(sides) if k == 3 and len(leaves) == 2 else all(sides)
 
 
-def _h2_witness(
-    cls: PathClassification, u: VertexId, k: int
-) -> tuple[KPath, KPath] | None:
+def _h2_witness(cls: PathClassification) -> tuple[KPath, KPath] | None:
     """Pick two k-paths meeting only at u (or u plus one shared leaf of u)."""
     left = sorted(cls.left)
     right = sorted(cls.right)
@@ -383,54 +370,35 @@ def _h2_witness(
         return (left[0], center[0])
     if right and center:
         return (center[0], right[0])
-    if center:
-        # all candidates stay on L[u]; forces k = 3 and needs 3 free leaves
-        for p in center:
-            for q in center:
-                if p is q:
-                    continue
-                shared = set(p) & set(q)
-                if shared == {u} or (len(shared) == 2 and u in shared):
-                    return (p, q)
+    if len(center) >= 2:
+        # all candidates stay on L[u], which forces k = 3: two distinct
+        # leaf-u-leaf paths share u and at most one leaf
+        return (center[0], center[1])
     return None
 
 
-def _find_h_regions(
-    sub: _Sub, m: int, k: int, h2: _Witness | None = None
-) -> tuple[tuple[int, int], ...]:
-    """H-region windows (first, last spine position) around position m."""
+def _find_h_regions(sub: _Sub, m: int, k: int) -> tuple[tuple[int, int], ...]:
+    """H-region windows (first, last spine position) around position m.
+
+    Probes the start window of at most 2k - 5 positions, then the windows
+    one position wider on the left and on the right (both are returned
+    when both pass), then the window widened on each side that can grow,
+    and so on while a window has at most 2k - 1 positions."""
     first, last = sub.a, sub.b
-    a = max(first, m - (k - 3))
-    b = min(last, m + (k - 3))
-    limit = 2 * k - 1
-
-    def probe(a: int, b: int) -> tuple[tuple[int, int], ...]:
-        return ((a, b),) if _check_window(sub, m, k, a, b, h2) else ()
-
-    region = probe(a, b)
-    if region:
-        return region
+    a, b = max(first, m - (k - 3)), min(last, m + (k - 3))
     while True:
-        has_l = a > first
-        has_r = b < last
-        if not has_l and not has_r:
+        if _check_window(sub, m, k, a, b):
+            return ((a, b),)
+        has_l, has_r = a > first, b < last
+        if b - a >= 2 * k - 2 or not (has_l or has_r):
             return ()
-        found: tuple[tuple[int, int], ...] = ()
-        if has_l and (b - (a - 1) + 1) <= limit:
-            found += probe(a - 1, b)
-        if has_r and ((b + 1) - a + 1) <= limit:
-            found += probe(a, b + 1)
-        if found:
-            return found
-        if has_l:
-            a -= 1
-        if has_r:
-            b += 1
-        if b - a + 1 > limit:
+        left = has_l and _check_window(sub, m, k, a - 1, b)
+        right = has_r and _check_window(sub, m, k, a, b + 1)
+        if left or right:
+            return ((a - 1, b),) * left + ((a, b + 1),) * right
+        a, b = a - has_l, b + has_r
+        if b - a > 2 * k - 2:
             return ()
-        region = probe(a, b)
-        if region:
-            return region
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +691,8 @@ def can_feed_region(
     rank = sub.ranks.rank
     if v not in tokens or v not in rank:
         raise InputError(f"{v} is not occupied in the component of {u}")
+    if u not in region.vertices or not rank.keys() >= region.vertices:
+        raise InputError(f"the region is not a window around {u} in its component")
     window = [sub.locate(rank[x])[0] for x in region.vertices]
     return ctx.can_feed(sub, m, min(window), max(window), rank[v])
 

@@ -131,14 +131,14 @@ class TestFindHRegions:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_window_test_matches_path_classification(self, seed):
-        """For k >= 4 the window test decides (H.2) from arm lengths; it must
-        agree with building both path classes, on every window around every
-        spine token."""
+        """The window test decides (H.2) from arm lengths for every k >= 3;
+        it must agree with building the path classes and picking witness
+        paths, on every window around every spine token."""
         rng = random.Random(seed)
         for _ in range(40):
             ell = rng.randint(6, 14)
             G = cat(ell, {i: rng.randint(1, 3) for i in range(1, ell + 1) if rng.random() < 0.5})
-            k = rng.choice((4, 5, 6))
+            k = rng.choice((3, 4, 5, 6))
             comp = G.components[0]
             cover = set(partition(comp, k, comp.spine[rng.randrange(ell)]).representatives)
             cover |= set(rng.sample(sorted(G.vertices), rng.randint(0, 3)))
@@ -161,7 +161,7 @@ class TestFindHRegions:
                             x not in occ for i in range(a, b + 1) if i != m for x in vertices(i)
                         )
                         cls = _classify(sub, occ, u, m, k, window)
-                        want = free and _h2_witness(cls, u, k) is not None
+                        want = free and _h2_witness(cls) is not None
                         assert _check_window(sub, m, k, a, b) == want
 
 
@@ -205,13 +205,20 @@ class TestCanFeedRegion:
             ("s5", "s2", "s2 is not occupied in the component of s5"),
             ("s3", "s1", "s3 is not occupied"),
             ("l1.1", "s1", "l1.1 is a leaf"),
+            ("s1", "s4", "the region is not a window around s1 in its component"),
+            ("s9", "s1", "the region is not a window around s9 in its component"),
         ],
     )
     def test_bad_arguments_are_input_errors(self, u, v, message):
         (reg,) = find_h_regions(NINE, NINE_COVER, _v("s5"))
-        cover = toks(4, "s1", "s5", "s9", "l1.1") if u == "l1.1" else NINE_COVER
+        G, cover = NINE, NINE_COVER
+        if u == "l1.1":
+            cover = toks(4, "s1", "s5", "s9", "l1.1")
+        elif v == "s4":
+            # s5 deleted: the region's s6-s8 lie outside s1's component
+            G, cover = NINE.delete([_v("s5")]), toks(4, "s1", "s4", "s9")
         with pytest.raises(InputError, match=message):
-            can_feed_region(NINE, cover, _v(u), reg, _v(v))
+            can_feed_region(G, cover, _v(u), reg, _v(v))
 
     def test_anchor_in_another_component(self):
         G = cat(11, {1: 1, 9: 1}).delete([_v("s10")])
