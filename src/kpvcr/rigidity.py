@@ -21,17 +21,17 @@ window scan and anchors are index arithmetic and mask tests on that
 interval, and `(ranks, lo, hi, deleted leaves, u)` keys the memo in O(1).
 
 The query's tokens on a component are one int over its ranks, built once
-per query; it is the only token-dependent table.  Whether a token can slide
-right now is the shared `_kpaths.slide_ok` on that int: every deleted
-vertex is a token, so the test's arm walk stops where the subproblem's run
-ends and needs no subproblem bounds.  The feed test walks the endpoint
-greedy from the region's edge outward on the subproblem's leaf counts
-(`cover._endpoint_pieces` over `_Sub.count`, the walk `partition` builds
-its pieces from) and counts each piece's tokens as a popcount of `span`.
-The recursion runs on an explicit stack: `_decide` returns the verdicts
-its first rule settles (100,260 of the 123,597 decisions on the sweep
-benchmark's family), and otherwise the rest of the rule chain as a
-generator, which yields the subproblems it needs to `is_rigid`'s loop.
+per query; it is the only token-dependent table.  Whether a spine token can
+slide right now is `_kpaths.slide_ok` on that int, asked once per position
+for the whole query (`_RigidityContext.slides`).  Before keying any
+subproblem, `verdict` settles such a token, a leaf on a free spine vertex
+and a leaf whose spine token slides: 96,556 of the 106,024 top-level
+verdicts on the 34,420 covers of the sweep benchmark's family.  `_decide`
+(14,009 runs there) returns the rest of the rule chain as a generator,
+which yields the subproblems it needs to `is_rigid`'s loop.  The feed test
+walks the endpoint greedy from the region's edge outward on the
+subproblem's leaf counts (`cover._endpoint_pieces` over `_Sub.count`) and
+counts each piece's tokens as a popcount of `span`.
 
 The public per-token helpers take vertex ids and work on a whole
 component.  The H-region window test is arm-length arithmetic for every
@@ -466,6 +466,7 @@ class _RigidityContext:
         self._memo: dict[tuple, RigidDecision] = {}
         self._subs: dict[tuple, _Sub] = {}
         self._doubled: dict[tuple, dict[int, bool]] = {}
+        self._slides: dict[tuple[Ranks, int], bool] = {}
         # the tokens grouped by component, in one pass that also validates them
         groups: dict[Ranks, list[VertexId]] = {}
         for v in tokens.occupied:
@@ -481,7 +482,34 @@ class _RigidityContext:
 
     def verdict(self, u: VertexId) -> RigidDecision:
         ranks = self.forest._component[u]._ranks  # u is a validated token
-        return self.is_rigid((ranks, 0, len(ranks.spine) - 1, 0, ranks.rank[u]))
+        r = ranks.rank[u]
+        m = ranks.pos[r]
+        s = ranks.spine[m]
+        if s != r and not self.mask(ranks) >> s & 1 or self.slides(ranks, m):
+            return _MOVABLE  # `_decide`'s first rule and leaf rule, before any key
+        return self.is_rigid((ranks, 0, len(ranks.spine) - 1, 0, r))
+
+    def slides(self, ranks: Ranks, m: int) -> bool:
+        """Can the token on base spine position m slide right now?  Tests
+        the free spine neighbours and the first free leaf only: any free
+        leaf leaves the same arms and free-leaf count, so one stands for
+        all.  Memoised per position for the whole query, as it holds in
+        every subproblem: each deleted vertex is a token of the one
+        occupancy int, which with the base ranks is all `slide_ok` reads."""
+        ok = self._slides.get((ranks, m))
+        if ok is None:
+            occ, spine, first = self.mask(ranks), ranks.spine, ranks.first
+            near = spine[m - 1 if m else 0 : m + 2]  # spine[m] is occupied: skipped
+            free = ~occ >> first[m] & (1 << (spine[m] - first[m])) - 1
+            if free:
+                near.append(first[m] + (free & -free).bit_length() - 1)
+            ok = False
+            for w in near:
+                if not occ >> w & 1 and slide_ok(ranks, occ, m, w, self.k):
+                    ok = True
+                    break
+            self._slides[ranks, m] = ok
+        return ok
 
     def is_rigid(self, key: tuple) -> RigidDecision:
         answer = self._decide(key)
@@ -512,25 +540,22 @@ class _RigidityContext:
 
     def _decide(self, key: tuple) -> RigidDecision | _Rest:
         """The verdict on token u of the subproblem `key` when it needs no
-        smaller subproblem: u is a leaf whose spine neighbour is free, or a
-        spine vertex without neighbours or with an immediately valid slide.
-        Otherwise the rest of the rule chain, a generator for `is_rigid`."""
+        smaller subproblem: u is a spine vertex without neighbours or one
+        that `slides`, or a leaf whose spine neighbour s is free or slides.
+        A slide of s valid with u present stays valid without u, as fewer
+        k-paths remain, so it settles the child verdict `_leaf` would ask
+        for.  Otherwise the rest of the rule chain, for `is_rigid`."""
         ranks, lo, hi, dl, u = key
         sub = self._subs.get(key[:4])
         if sub is None:
             sub = self._subs[key[:4]] = _Sub(ranks, lo, hi, dl, self.mask(ranks))
         m, leaf = sub.locate(u)
+        if leaf and not sub.tok >> ranks.spine[m] & 1 or self.slides(ranks, m):
+            return _MOVABLE
         if leaf:
-            nbr = ranks.spine[m]
-            return self._leaf(sub, u, nbr) if sub.tok >> nbr & 1 else _MOVABLE
+            return self._leaf(sub, u, ranks.spine[m])
         nbrs = sub.neighbors(m)
-        if not nbrs:
-            return _LEMMA_1A
-        # spine vertex: a token with an immediately valid slide is movable
-        for w in nbrs:
-            if not sub.tok >> w & 1 and slide_ok(ranks, sub.occ, m, w, self.k):
-                return _MOVABLE
-        return self._spine(sub, u, m, nbrs)
+        return self._spine(sub, u, m, nbrs) if nbrs else _LEMMA_1A
 
     def _leaf(self, sub: _Sub, u: int, nbr: int) -> _Rest:
         return _LEMMA_1B if (yield sub.child(u, nbr)).rigid else _MOVABLE

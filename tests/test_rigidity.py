@@ -18,6 +18,7 @@ from kpvcr import (
     GenerateConfig,
     InputError,
     TokenSet,
+    TsSequence,
     UnsupportedParameterError,
     VertexId,
     anchor_set,
@@ -33,6 +34,7 @@ from kpvcr import (
     partition,
     random_instance,
     rigid_set,
+    validate_sequence,
 )
 from kpvcr._kpaths import PathCoverContext, slide_ok
 from kpvcr.cover import _endpoint_pieces, _partition_greedy
@@ -306,6 +308,132 @@ class TestSlideOk:
                     if ranks.order[w] not in occ:
                         want = paths.slide_ok(mask, u, ranks.order[w])
                         assert slide_ok(ranks, sub.occ, m, w, k) == want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_memoised_slides_match_some_free_neighbour(self, seed):
+        """`_RigidityContext.slides` (at most three `slide_ok` calls, memoised
+        per spine position for the whole query) against "some free
+        neighbour passes `PathCoverContext.slide_ok`", for every spine token
+        of the whole component and of a cut-out subproblem, built as in
+        `TestCutChain`: a spine run whose two neighbours are deleted tokens,
+        minus some deleted leaf tokens, its leafless run ends folded in.
+        One context answers both, in shuffled order, so an answer memoised
+        in one is reused in the other."""
+        rng = random.Random(seed)
+        for _ in range(8):
+            ell = rng.randint(8, 60)
+            prob = rng.choice((0.2, 0.4, 0.7))
+            counts = {i: rng.randint(1, 3) for i in range(1, ell + 1) if rng.random() < prob}
+            G = CaterpillarForest.from_counts(ell, counts)
+            k = rng.choice((4, 5, 6))
+            comp = G.components[0]
+            ranks = comp._ranks
+            density = rng.choice((0.15, 0.3))
+            occupied = {v for v in sorted(G.vertices) if rng.random() < density}
+            bare = [i for i in range(1, ell - 1) if not comp.leaves[i]]
+            lo = rng.choice([i for i in bare if i < ell // 3] or [1])
+            hi = rng.choice([i for i in bare if i > 2 * ell // 3] or [ell - 2])
+            occupied |= {comp.spine[lo - 1], comp.spine[hi + 1]}
+            dead = {
+                x
+                for i in range(lo, hi + 1)
+                for x in comp.leaves[i]
+                if x in occupied and rng.random() < 0.5
+            }
+            run = range(lo, hi + 1)
+            cut = CaterpillarForest(
+                (
+                    Caterpillar(
+                        tuple(comp.spine[i] for i in run),
+                        tuple(tuple(x for x in comp.leaves[i] if x not in dead) for i in run),
+                    ),
+                )
+            )
+            ctx = _RigidityContext(G, TokenSet(frozenset(occupied), k))
+            cases = [(G, i) for i in range(ell)] + [(cut, i) for i in run]
+            rng.shuffle(cases)
+            for H, i in cases:
+                u = comp.spine[i]
+                if u not in occupied:
+                    continue
+                paths = PathCoverContext(H, k)
+                mask = paths.mask_of(occupied & H.vertices)
+                want = any(
+                    w not in occupied and paths.slide_ok(mask, u, w) for w in H.neighbors(u)
+                )
+                assert ctx.slides(ranks, i) == want, (H is cut, i)
+
+
+class TestFirstRule:
+    """The tokens `_RigidityContext.verdict` settles before any subproblem
+    are movable by construction, checked without the oracle: each has a
+    witness `validate_sequence` accepts that moves it.  A leaf onto its free
+    spine vertex; a spine token (a leafless spine end included) whose
+    `slides` holds, onto a free neighbour; a leaf whose spine token s
+    slides, by that slide of s and then the leaf onto s.  `_leaf`, which
+    would open the subproblem G - u, is never entered for such a leaf."""
+
+    @pytest.fixture
+    def entered(self, monkeypatch):
+        """The (ranks, leaf) pairs `_leaf` is entered for."""
+        seen = set()
+        leaf_rule = _RigidityContext._leaf
+
+        def spy(ctx, sub, u, nbr):
+            seen.add((sub.ranks, u))
+            return leaf_rule(ctx, sub, u, nbr)
+
+        monkeypatch.setattr(_RigidityContext, "_leaf", spy)
+        return seen
+
+    def _check(self, G, cover, entered):
+        """How many tokens the two rules settle; every one is checked."""
+        entered.clear()
+        rationale = rigid_set(G, cover).rationale
+        ctx = _RigidityContext(G, cover)
+        occ = cover.occupied
+        settled = 0
+        for u in sorted(occ):
+            ranks = G.component_of(u)._ranks
+            r = ranks.rank[u]
+            m = ranks.pos[r]
+            s = ranks.order[ranks.spine[m]]
+            if s != u and s not in occ:
+                witnesses = [((u, s),)]
+            elif ctx.slides(ranks, m):
+                slides = [(s, w) for w in G.neighbors(s) if w not in occ]
+                witnesses = [(mv,) if s == u else (mv, (u, s)) for mv in slides]
+                assert (ranks, r) not in entered, u
+            else:
+                continue
+            assert rationale[u] == "movable", u
+            assert any(
+                validate_sequence(G, cover.k, TsSequence(cover, moves)) for moves in witnesses
+            ), u
+            settled += 1
+        return settled
+
+    def test_small_family(self, entered):
+        settled = spied = 0
+        for G in enumerate_caterpillars(6, 2):
+            for k in (4, 5):
+                psi = minimum_cover_size(G, k)
+                for size in range(psi, min(G.n, psi + 1) + 1):
+                    for cover in enumerate_kpvcs(G, k, size):
+                        settled += self._check(G, cover, entered)
+                        spied += len(entered)
+        # the spy sees the leaves the two rules leave to `_leaf`
+        assert (settled, spied > 0) == (83153, True)
+
+    @pytest.mark.parametrize("spine, k", [(40, 4), (300, 5), (2000, 4)])
+    def test_generated(self, spine, k, entered):
+        inst = random_instance(GenerateConfig(spine=spine, leaf_prob=0.4, k=k, seed=spine))
+        G = inst.forest()
+        # a superset of a cover is a cover; slack tokens make more of them slide
+        rng = random.Random(spine)
+        slack = frozenset(v for v in sorted(G.vertices) if rng.random() < 0.1)
+        for cover in (inst.start, inst.target, slack.union(inst.start)):
+            assert self._check(G, TokenSet(frozenset(cover), k), entered)
 
 
 class TestCutChain:
